@@ -25,10 +25,6 @@ class TooLarge(AuctionError):
     """An exact search exceeded its node budget."""
 
 
-class NotANonMatchingEdge(AuctionError):
-    """Edge classification needs a positive-bid edge outside the matching."""
-
-
 class PolicyViolation(AuctionError):
     """An online policy broke the driver contract."""
 

@@ -14,12 +14,6 @@ from typing import IO, Iterable, Mapping, Sequence
 from .model import SKIP, Action, Assign, AuctionTrace, Instance
 
 
-def _as_int(value: object, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def frac_str(value: Fraction | int | None) -> str:
     if value is None:
         return ""
@@ -49,17 +43,48 @@ def instance_to_doc(instance: Instance) -> dict:
     }
 
 
-def instance_from_doc(doc: Mapping) -> Instance:
-    keywords = [str(u) for u in doc["keywords"]]
-    bidders = [
-        (str(b["id"]), _as_int(b["budget"], f"budget of {b['id']!r}"))
-        for b in doc["bidders"]
-    ]
-    bids = {
-        (str(e["keyword"]), str(e["bidder"])): _as_int(e["amount"], "bid amount")
-        for e in doc.get("bids", [])
-    }
-    return Instance(tuple(keywords), tuple(bidders), bids)
+def _list(doc: Mapping, key: str) -> list:
+    if key not in doc:
+        raise ValueError(f"instance document lacks {key!r}")
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ValueError(f"instance {key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _fields(entry: object, names: tuple[str, ...], what: str) -> list:
+    try:
+        return [entry[n] for n in names]  # type: ignore[index]
+    except (KeyError, TypeError):
+        raise ValueError(f"{what} {entry!r} is not an object with {', '.join(names)}") from None
+
+
+def instance_from_doc(doc: object) -> Instance:
+    """Build an Instance from a parsed JSON document.
+
+    This is the load boundary: a document that is not an object, lacks
+    `keywords` or `bidders`, has a malformed bidder or bid entry, or lists
+    a (keyword, bidder) pair twice raises ValueError.  Semantic problems
+    such as a bid above its budget are left to `model.validate`.
+    """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"instance document must be an object, got {type(doc).__name__}")
+    keywords = tuple(str(u) for u in _list(doc, "keywords"))
+    bidders = []
+    for b in _list(doc, "bidders"):
+        v, budget = _fields(b, ("id", "budget"), "bidder")
+        bidders.append((str(v), budget))
+    bids: dict[tuple[str, str], int] = {}
+    for e in _list(doc, "bids") if "bids" in doc else ():
+        u, v, amount = _fields(e, ("keyword", "bidder", "amount"), "bid")
+        key = (str(u), str(v))
+        if key in bids:
+            raise ValueError(f"duplicate bid entry for keyword {key[0]!r}, bidder {key[1]!r}")
+        bids[key] = amount
+    try:
+        return Instance(keywords, tuple(bidders), bids)
+    except TypeError as exc:  # Instance's money check: a non-int budget or bid
+        raise ValueError(str(exc)) from None
 
 
 def dump_instance(instance: Instance, fp: IO[str]) -> None:

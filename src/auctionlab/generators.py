@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Sequence
 
 from .errors import InvalidParams, NonDeterministicPolicy
@@ -84,6 +85,8 @@ def adversary_vs_policy(policy: OnlinePolicy, m: int) -> AdversaryTranscript:
     Until the policy first charges a positive price, every keyword brings
     two fresh bidders.  From then on, every keyword pairs the bidder the
     policy consumed with one fresh bidder, so no later allocation can pay.
+    The instance grows while the policy plays, so this settles keywords
+    itself instead of through `model.settle_all`.
     """
     if m < 1:
         raise InvalidParams(f"m must be >= 1, got {m}")
@@ -94,6 +97,7 @@ def adversary_vs_policy(policy: OnlinePolicy, m: int) -> AdversaryTranscript:
 
     policy.reset((), random.Random(0))
     state = BudgetState({})
+    budgets = MappingProxyType(state.remaining)
     keywords: list[str] = []
     bidder_order: list[str] = []
     bids: dict[tuple[str, str], int] = {}
@@ -115,7 +119,7 @@ def adversary_vs_policy(policy: OnlinePolicy, m: int) -> AdversaryTranscript:
             row = {anchor: 1, fresh(f"c{t}"): 1}
         for v, amount in row.items():
             bids[(kw, v)] = amount
-        action = policy.decide(t - 1, kw, dict(row), dict(state.remaining))
+        action = policy.decide(t - 1, kw, MappingProxyType(row), budgets)
         price = state.settle(row, action)
         steps.append(TraceStep(kw, action, price))
         if anchor is None and price > 0:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import NoPositiveBids, OrderingViolation, SameBidder, UnknownId
 
@@ -128,11 +129,11 @@ class Instance:
         self.bidder_index(bidder)
         return self.bids.get((keyword, bidder), 0)
 
-    def positive_bids(self, keyword: str) -> dict[str, int]:
-        """Positive bids on `keyword`, in bidder-index order."""
+    def positive_bids(self, keyword: str) -> Mapping[str, int]:
+        """Read-only view of the positive bids on `keyword`, in bidder-index order."""
         if keyword not in self._kw_set:  # type: ignore[attr-defined]
             raise UnknownId(f"unknown keyword {keyword!r}")
-        return dict(self._rows[keyword])  # type: ignore[attr-defined]
+        return MappingProxyType(self._rows[keyword])  # type: ignore[attr-defined]
 
     def neighbors(self, keyword: str) -> tuple[str, ...]:
         """Bidders with a positive bid on `keyword`, in bidder-index order."""
@@ -221,6 +222,25 @@ class AuctionTrace:
         return tuple(s.action for s in self.steps)
 
 
+def settle_all(
+    instance: Instance,
+    decide: Callable[[int, str, Mapping[str, int], Mapping[str, int]], Action],
+) -> AuctionTrace:
+    """Settle each keyword in arrival order with `decide(step, keyword, bids, budgets)`.
+
+    `decide` sees the keyword's positive bids and a read-only live view of
+    the remaining budgets, both before the keyword is settled.
+    """
+    state = BudgetState.start(instance)
+    budgets = MappingProxyType(state.remaining)
+    steps = []
+    for step, keyword in enumerate(instance.keywords):
+        bids = instance.positive_bids(keyword)
+        action = decide(step, keyword, bids, budgets)
+        steps.append(TraceStep(keyword, action, state.settle(bids, action)))
+    return AuctionTrace(tuple(steps), sum(s.price for s in steps), dict(state.remaining))
+
+
 def execute(instance: Instance, actions: Sequence[Action]) -> AuctionTrace:
     """Run one action per keyword, in arrival order, under exact semantics.
 
@@ -231,12 +251,7 @@ def execute(instance: Instance, actions: Sequence[Action]) -> AuctionTrace:
     acts = list(actions)
     if len(acts) != instance.m:
         raise ValueError(f"need {instance.m} actions, got {len(acts)}")
-    state = BudgetState.start(instance)
-    steps = []
-    for keyword, action in zip(instance.keywords, acts):
-        price = state.settle(instance.positive_bids(keyword), action)
-        steps.append(TraceStep(keyword, action, price))
-    return AuctionTrace(tuple(steps), sum(s.price for s in steps), dict(state.remaining))
+    return settle_all(instance, lambda step, keyword, bids, budgets: acts[step])
 
 
 @dataclass(frozen=True)

@@ -3,23 +3,11 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
-from .errors import InfeasibleTrace, InvalidParams, NoPositiveBids, NotANonMatchingEdge
-from .model import (
-    SKIP,
-    Action,
-    Assign,
-    AuctionTrace,
-    BudgetState,
-    Instance,
-    TraceStep,
-    execute,
-    r_min,
-)
-from .oracles import Matching, max_matching
+from .errors import InfeasibleTrace, InvalidParams, NoPositiveBids
+from .model import SKIP, Action, Assign, AuctionTrace, Instance, execute, r_min, settle_all
+from .oracles import max_matching, second_bid_upper_bound
 
 
 def top_c(instance: Instance, c: int) -> AuctionTrace:
@@ -43,67 +31,28 @@ def top_c(instance: Instance, c: int) -> AuctionTrace:
     except NoPositiveBids:
         pass
 
-    ranked: list[tuple[int, int, str, tuple[str, ...]]] = []
-    for idx, u in enumerate(instance.keywords):
-        row = instance.positive_bids(u)
-        top2 = sorted(row, key=lambda v: (-row[v], instance.bidder_index(v)))[:2]
-        s_u = row[top2[1]] if len(top2) >= 2 else 0
-        ranked.append((s_u, idx, u, tuple(top2)))
-    chosen = {
-        u: top2
-        for _, _, u, top2 in sorted(ranked, key=lambda r: (-r[0], r[1]))[:c]
-        if top2
-    }
-
-    state = BudgetState.start(instance)
-    steps = []
+    ranked = []
     for u in instance.keywords:
-        action: Action = SKIP
-        if u in chosen:
-            pair = chosen[u]
-            first = pair[0]
-            if len(pair) >= 2:
-                second = pair[1]
-            else:
-                others = [v for v in instance.bidder_ids if v != first]
-                second = others[0] if others else None
-            if second is not None:
-                row = instance.positive_bids(u)
-                if state.effective(first, row.get(first, 0)) < state.effective(
-                    second, row.get(second, 0)
-                ):
-                    first, second = second, first
-                action = Assign(first, second)
-        steps.append(TraceStep(u, action, state.settle(instance.positive_bids(u), action)))
-    return AuctionTrace(tuple(steps), sum(s.price for s in steps), dict(state.remaining))
+        row = instance.positive_bids(u)
+        # rows are in bidder-index order, so the stable sort breaks ties by index
+        top2 = sorted(row, key=row.__getitem__, reverse=True)[:2]
+        ranked.append((row[top2[1]] if len(top2) >= 2 else 0, u, top2))
+    chosen: dict[str, list[str]] = {}
+    for _, u, top2 in sorted(ranked, key=lambda r: -r[0])[:c]:
+        if len(top2) == 1:
+            top2 += [v for v, _ in instance.bidders if v != top2[0]][:1]
+        if len(top2) == 2:
+            chosen[u] = top2
 
+    def decide(step, u, row, budgets):
+        if u not in chosen:
+            return SKIP
+        first, second = chosen[u]
+        if min(row.get(first, 0), budgets[first]) < min(row.get(second, 0), budgets[second]):
+            first, second = second, first
+        return Assign(first, second)
 
-class EdgeKind(Enum):
-    UP = "up"
-    DOWN = "down"
-
-
-@dataclass(frozen=True)
-class EdgeClass:
-    keyword: str
-    bidder: str
-    kind: EdgeKind
-
-
-def classify_edge(instance: Instance, f: Matching, edge: tuple[str, str]) -> EdgeClass:
-    """Classify a non-matching positive-bid edge (u, v) relative to matching f.
-
-    UP: v is matched by f and its partner arrives before u.  DOWN: v is
-    unmatched, or its partner arrives at or after u.
-    """
-    u, v = edge
-    if instance.bid(u, v) <= 0 or f.bidder_of(u) == v:
-        raise NotANonMatchingEdge(f"({u!r}, {v!r}) is not a positive edge outside f")
-    arrival = {kw: i for i, kw in enumerate(instance.keywords)}
-    partner = f.keyword_of(v)
-    if partner is not None and arrival[partner] < arrival[u]:
-        return EdgeClass(u, v, EdgeKind.UP)
-    return EdgeClass(u, v, EdgeKind.DOWN)
+    return settle_all(instance, decide)
 
 
 def reverse_match(instance: Instance) -> AuctionTrace:
@@ -122,41 +71,39 @@ def reverse_match(instance: Instance) -> AuctionTrace:
         raise InvalidParams("reverse_match needs an all-ones instance")
 
     arrival = {u: i for i, u in enumerate(instance.keywords)}
-    nbrs = {u: instance.neighbors(u) for u in instance.keywords}
-    thin = [u for u in instance.keywords if len(nbrs[u]) < 2]
+    thin = [u for u in instance.keywords if len(instance.positive_bids(u)) < 2]
+    filtered = instance
     if thin:
         warnings.warn(
             f"dropping {len(thin)} keyword(s) with fewer than two bidders",
             stacklevel=2,
         )
-        kept = tuple(u for u in instance.keywords if len(nbrs[u]) >= 2)
+        drop = set(thin)
         filtered = Instance(
-            kept,
+            tuple(u for u in instance.keywords if u not in drop),
             instance.bidders,
-            {(u, v): a for (u, v), a in instance.bids.items() if u in set(kept)},
+            {(u, v): a for (u, v), a in instance.bids.items() if u not in drop},
         )
-    else:
-        filtered = instance
 
     f = dict(max_matching(filtered).pairs)
     f_inv = {v: u for u, v in f.items()}
-    bidx = instance.bidder_index
 
     assignments: dict[str, Assign] = {}
     for u in sorted(f, key=lambda u: -arrival[u]):
         if u not in f:
             continue
         mate = f[u]
-        others = [v for v in nbrs[u] if v != mate]
+        # in bidder-index order, so the first of equal candidates wins ties
+        others = [v for v in instance.positive_bids(u) if v != mate]
         down = [
             v
             for v in others
             if v not in f_inv or arrival[f_inv[v]] > arrival[u]
         ]
         if down:
-            second = min(down, key=bidx)
+            second = down[0]
         else:
-            second = min(others, key=lambda v: (arrival[f_inv[v]], bidx(v)))
+            second = min(others, key=lambda v: arrival[f_inv[v]])
             removed = f_inv.pop(second)
             del f[removed]
         assignments[u] = Assign(mate, second)
@@ -173,8 +120,6 @@ def reverse_match(instance: Instance) -> AuctionTrace:
 
 def top_c_bound(instance: Instance, c: int) -> Fraction:
     """The guaranteed value (c/m) * sum of second-highest bids, as a rational."""
-    from .oracles import second_bid_upper_bound
-
     if instance.m == 0:
         return Fraction(0)
     return Fraction(min(c, instance.m), instance.m) * second_bid_upper_bound(instance)

@@ -16,16 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import PolicyViolation
-from .model import (
-    SKIP,
-    Action,
-    Assign,
-    AuctionTrace,
-    BudgetState,
-    Instance,
-    Skip,
-    TraceStep,
-)
+from .model import SKIP, Action, Assign, Instance, Skip, settle_all
 from .oracles import Matching
 
 
@@ -305,13 +296,10 @@ def run_online(instance: Instance, policy: OnlinePolicy, seed: int | None = None
             pairs[keyword] = v
         return Matching(pairs)
 
-    state = BudgetState.start(instance)
-    steps = []
-    for step, keyword in enumerate(instance.keywords):
-        bids = instance.positive_bids(keyword)
-        action = policy.decide(step, keyword, bids, dict(state.remaining))
+    def decide(step, keyword, bids, budgets):
+        action = policy.decide(step, keyword, bids, budgets)
         if not isinstance(action, (Assign, Skip)):
             raise PolicyViolation(f"policy returned {action!r}, not an action")
-        price = state.settle(bids, action)
-        steps.append(TraceStep(keyword, action, price))
-    return AuctionTrace(tuple(steps), sum(s.price for s in steps), dict(state.remaining))
+        return action
+
+    return settle_all(instance, decide)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InvalidParams, TooLarge, UnknownId
+from .errors import InfeasibleTrace, InvalidParams, TooLarge, UnknownId
 from .model import SKIP, Assign, AuctionTrace, Instance, execute
 
 DEFAULT_NODE_LIMIT = 2_000_000
@@ -63,25 +63,67 @@ def max_matching(instance: Instance) -> Matching:
     probed in index order, so reruns yield the identical matching.
     """
     owner: dict[str, str] = {}  # bidder -> keyword
+    for u in instance.keywords:
+        _augment(instance, owner, u)
+    return Matching({u: v for v, u in owner.items()})
 
-    def try_assign(u: str, visited: set[str]) -> bool:
-        for v in instance.neighbors(u):
+
+def _augment(instance: Instance, owner: dict[str, str], root: str) -> None:
+    """Find an augmenting path from `root` by depth-first search and flip it.
+
+    Iterative, so path length is not bounded by the recursion limit; the
+    probe order is that of the recursive search.  `stack[k]` holds a keyword
+    on the path with its unprobed neighbors; that keyword tries to take
+    bidder `taken[k]`, whose current owner is the keyword of `stack[k + 1]`.
+    """
+    visited: set[str] = set()
+    stack = [(root, iter(instance.positive_bids(root)))]
+    taken: list[str] = []
+    while stack:
+        for v in stack[-1][1]:
             if v in visited:
                 continue
             visited.add(v)
-            if v not in owner or try_assign(owner[v], visited):
-                owner[v] = u
-                return True
-        return False
-
-    for u in instance.keywords:
-        try_assign(u, set())
-    return Matching({u: v for v, u in owner.items()})
+            taken.append(v)
+            if v not in owner:
+                for (u, _), w in zip(stack, taken):
+                    owner[w] = u
+                return
+            stack.append((owner[v], iter(instance.positive_bids(owner[v]))))
+            break
+        else:
+            stack.pop()
+            if taken:
+                taken.pop()
 
 
 def _require_unit(instance: Instance, who: str) -> None:
     if not instance.is_unit():
         raise InvalidParams(f"{who} needs an all-ones instance (budgets 1, bids 0/1)")
+
+
+def _indexed_rows(instance: Instance) -> list[tuple[tuple[int, int], ...]]:
+    """Each keyword's positive bids as (bidder index, amount), in index order."""
+    index = instance.bidder_index
+    return [
+        tuple((index(v), a) for v, a in instance.positive_bids(u).items())
+        for u in instance.keywords
+    ]
+
+
+def _still_bidding(rows: Sequence[tuple[tuple[int, int], ...]]) -> list[tuple[int, ...]]:
+    """For each step t, the sorted indices of bidders bidding at steps t and later."""
+    future: list[tuple[int, ...]] = [()] * (len(rows) + 1)
+    acc: set[int] = set()
+    for t in range(len(rows) - 1, -1, -1):
+        acc.update(i for i, _ in rows[t])
+        future[t] = tuple(sorted(acc))
+    return future
+
+
+def _check_replay(value: int, total: int) -> None:
+    if value != total:
+        raise InfeasibleTrace(f"witness replays to {value}, search found {total}")
 
 
 def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResult:
@@ -93,8 +135,7 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
     leave the state unchanged and are dominated by Skip.
     """
     _require_unit(instance, "opt_2pm")
-    index = {v: i for i, v in enumerate(instance.bidder_ids)}
-    nbrs = [tuple(index[v] for v in instance.neighbors(u)) for u in instance.keywords]
+    nbrs = [tuple(map(instance.bidder_index, instance.positive_bids(u))) for u in instance.keywords]
     m = instance.m
 
     # bidders that still appear in keywords t..m-1
@@ -144,25 +185,8 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
             actions.append(Assign(ids[choice], ids[second]))
             consumed |= 1 << choice
     trace = execute(instance, actions)
-    assert trace.value == total, "witness replay disagrees with search"
+    _check_replay(trace.value, total)
     return OptResult(total, trace)
-
-
-def _search_frame(instance: Instance):
-    """Shared prep for the budgeted searches: indexed rows and projections."""
-    index = {v: i for i, v in enumerate(instance.bidder_ids)}
-    rows = [
-        tuple((index[v], a) for v, a in instance.positive_bids(u).items())
-        for u in instance.keywords
-    ]
-    m = instance.m
-    future: list[tuple[int, ...]] = [()] * (m + 1)
-    acc: set[int] = set()
-    for t in range(m - 1, -1, -1):
-        acc |= {i for i, _ in rows[t]}
-        future[t] = tuple(sorted(acc))
-    budgets = [b for _, b in instance.bidders]
-    return index, rows, future, budgets
 
 
 def second_bid_upper_bound(instance: Instance) -> int:
@@ -171,12 +195,16 @@ def second_bid_upper_bound(instance: Instance) -> int:
     No solution can beat this: any charged price is the smaller of two
     distinct bidders' bids, hence at most the keyword's second-highest.
     """
-    total = 0
+    return sum(_second_bids(instance))
+
+
+def _second_bids(instance: Instance) -> list[int]:
+    """Per keyword, the second-highest positive bid (0 with fewer than two)."""
+    seconds = []
     for u in instance.keywords:
         amounts = sorted(instance.positive_bids(u).values(), reverse=True)
-        if len(amounts) >= 2:
-            total += amounts[1]
-    return total
+        seconds.append(amounts[1] if len(amounts) >= 2 else 0)
+    return seconds
 
 
 def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResult:
@@ -187,13 +215,12 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
     bidders still relevant.  Prices never exceed the per-keyword
     second-highest original bid, which bounds subtree values.
     """
-    _, rows, future, budgets0 = _search_frame(instance)
+    rows = _indexed_rows(instance)
+    future = _still_bidding(rows)
+    budgets0 = [b for _, b in instance.bidders]
     m = instance.m
 
-    s_u = []
-    for t in range(m):
-        amounts = sorted((a for _, a in rows[t]), reverse=True)
-        s_u.append(amounts[1] if len(amounts) >= 2 else 0)
+    s_u = _second_bids(instance)
     suffix = [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         suffix[t] = suffix[t + 1] + s_u[t]
@@ -246,7 +273,7 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
             actions.append(Assign(ids[first], ids[second]))
             rem[first] -= price
     trace = execute(instance, actions)
-    assert trace.value == total, "witness replay disagrees with search"
+    _check_replay(trace.value, total)
     return OptResult(total, trace)
 
 
@@ -255,7 +282,9 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
 
     Witness is a keyword -> bidder mapping (winners may repeat bidders).
     """
-    _, rows, future, budgets0 = _search_frame(instance)
+    rows = _indexed_rows(instance)
+    future = _still_bidding(rows)
+    budgets0 = [b for _, b in instance.bidders]
     m = instance.m
 
     memo: dict[tuple, tuple[int, tuple[int, int] | None]] = {}
@@ -296,7 +325,7 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
             winner, price = choice
             winners[instance.keywords[t]] = ids[winner]
             rem[winner] -= price
-    assert first_price_value(instance, winners) == total
+    _check_replay(first_price_value(instance, winners), total)
     return OptResult(total, winners)
 
 

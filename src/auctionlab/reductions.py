@@ -26,9 +26,9 @@ from .model import (
     Action,
     Assign,
     AuctionTrace,
-    BudgetState,
     Instance,
     execute,
+    settle_all,
 )
 
 # ----------------------------------------------------------------------
@@ -172,7 +172,8 @@ def yes_strategy(gadget: PartitionGadget, subset: Iterable[int]) -> AuctionTrace
             for kw in row:
                 actions.append(Assign(gadget.bidders_h[i], "f"))
     trace = execute(gadget.instance, actions)
-    assert trace.value == gadget.yes_value, "canonical replay missed its target"
+    if trace.value != gadget.yes_value:
+        raise InfeasibleTrace(f"canonical replay reached {trace.value}, not {gadget.yes_value}")
     return trace
 
 
@@ -302,26 +303,26 @@ def extract_vertex_cover(gadget: VcGadget, trace: AuctionTrace) -> frozenset[str
             alloc[gadget.h_keywords[v]] = gadget.y_bidders[v]
 
     # rebuild canonically and let the exact semantics verify every step
-    state = BudgetState.start(instance)
-    value = 0
-    for kw in instance.keywords:
+    def decide(step, kw, row, budgets):
         first = alloc.get(kw)
         if first is None:
-            state.settle({}, SKIP)
-            continue
-        row = instance.positive_bids(kw)
-        second = next(
-            (v for v in row if v != first and state.remaining[v] >= 1), None
-        )
-        assert second is not None, f"normalization left {kw!r} without a second"
-        price = state.settle(row, Assign(first, second))
-        assert price == 1
-        value += price
+            return SKIP
+        second = next((v for v in row if v != first and budgets[v] >= 1), None)
+        if second is None:
+            raise InfeasibleTrace(f"normalization left {kw!r} without a second")
+        return Assign(first, second)
 
-    assert value >= trace.value, "normalization lost value"
+    rebuilt = settle_all(instance, decide)
+    if any(s.price != 1 for s in rebuilt.steps if isinstance(s.action, Assign)):
+        raise InfeasibleTrace("a normalized allocation does not charge 1")
+    value = rebuilt.value
+    if value < trace.value:
+        raise InfeasibleTrace(f"normalization lost value: {value} < {trace.value}")
     cover = frozenset(v for v in gadget.vertices if not consumed(v))
-    assert all(s in cover or t in cover for s, t in gadget.edges)
-    assert len(cover) == 2 * len(gadget.vertices) + len(gadget.edges) - value
+    if not all(s in cover or t in cover for s, t in gadget.edges):
+        raise InfeasibleTrace("extracted vertex set misses an edge")
+    if len(cover) != 2 * len(gadget.vertices) + len(gadget.edges) - value:
+        raise InfeasibleTrace(f"cover size {len(cover)} breaks the identity at value {value}")
     return cover
 
 
@@ -337,14 +338,16 @@ def to_first_price_bids(instance: Instance) -> Instance:
     Budgets are unchanged, so b' <= b <= budget still holds.
     """
     bids: dict[tuple[str, str], int] = {}
-    ids = instance.bidder_ids
     for u in instance.keywords:
-        amounts = [instance.bids.get((u, v), 0) for v in ids]
-        for i, v in enumerate(ids):
-            below = [a for j, a in enumerate(amounts) if j != i and a <= amounts[i]]
-            b_prime = max(below, default=0)
-            if b_prime > 0:
-                bids[(u, v)] = b_prime
+        # zero and absent bids never yield a positive b', so only the
+        # positive row matters.  Each amount maps to its predecessor in
+        # sorted order; the last of tied amounts wins, mapping to itself.
+        row = instance.positive_bids(u)
+        ordered = sorted(row.values())
+        b_prime = dict(zip(ordered, [0] + ordered))
+        for v, a in row.items():
+            if b_prime[a] > 0:
+                bids[(u, v)] = b_prime[a]
     return Instance(instance.keywords, instance.bidders, bids)
 
 
@@ -390,17 +393,13 @@ def normalize_first_price(instance: Instance, alloc) -> FirstPriceAllocation:
 
 def resolve_second_bidder(instance: Instance, keyword: str, bidder: str) -> str:
     """Lowest-index other bidder whose original bid equals b'(keyword, bidder)."""
-    target = max(
-        (
-            instance.bids.get((keyword, v), 0)
-            for v in instance.bidder_ids
-            if v != bidder
-            and instance.bids.get((keyword, v), 0) <= instance.bids.get((keyword, bidder), 0)
-        ),
-        default=0,
-    )
-    for v in instance.bidder_ids:
-        if v != bidder and instance.bids.get((keyword, v), 0) == target:
+    row = instance.positive_bids(keyword)
+    own = row.get(bidder, 0)
+    target = max((a for v, a in row.items() if v != bidder and a <= own), default=0)
+    if target > 0:
+        return next(v for v, a in row.items() if v != bidder and a == target)
+    for v, _ in instance.bidders:
+        if v != bidder and v not in row:
             return v
     raise UnresolvableSecondBidder(
         f"no bidder other than {bidder!r} bids {target} on {keyword!r}"
@@ -425,7 +424,6 @@ def random_construction(
     value is at least one eighth of the allocation's first-price value.
     """
     allocation = _as_allocation(instance, alloc)
-    prime = to_first_price_bids(instance)
 
     if marked is None:
         rng = random.Random(seed)
@@ -440,7 +438,9 @@ def random_construction(
             continue
         second = resolve_second_bidder(instance, u, v)
         if second in mark:
-            by_winner.setdefault(v, []).append((u, prime.bids.get((u, v), 0), second))
+            # b'(u, v) is the original bid of the resolved second bidder
+            b_prime = instance.positive_bids(u).get(second, 0)
+            by_winner.setdefault(v, []).append((u, b_prime, second))
 
     for v, entries in by_winner.items():
         budget = instance.budget_of(v)
@@ -457,6 +457,9 @@ def random_construction(
     trace = execute(instance, actions)
     for step in trace.steps:
         if isinstance(step.action, Assign):
-            expected = prime.bids.get((step.keyword, step.action.first), 0)
-            assert step.price == expected, "taken keyword paid off its transformed bid"
+            expected = instance.positive_bids(step.keyword).get(step.action.second, 0)
+            if step.price != expected:
+                raise InfeasibleTrace(
+                    f"{step.keyword!r} charged {step.price}, not its transformed bid {expected}"
+                )
     return trace

@@ -319,3 +319,34 @@ def test_validate_warning_still_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "warning:" in out
     assert "ok:" in out
+
+
+DUPLICATE_BID = {
+    "keywords": ["u"],
+    "bidders": [{"id": "A", "budget": 3}, {"id": "B", "budget": 3}],
+    "bids": [
+        {"keyword": "u", "bidder": "A", "amount": 1},
+        {"keyword": "u", "bidder": "A", "amount": 2},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({}, "lacks 'keywords'"),
+        ([], "must be an object"),
+        (DUPLICATE_BID, "duplicate bid entry"),
+    ],
+    ids=["empty-object", "list", "duplicate-bid"],
+)
+def test_validate_rejects_malformed_documents_in_one_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+

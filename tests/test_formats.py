@@ -58,6 +58,31 @@ def test_instance_doc_rejects_float_and_bool_money():
         instance_from_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"bidders": []},
+        {"keywords": []},
+        {"keywords": "u", "bidders": []},
+        {"keywords": [], "bidders": [3]},
+        {"keywords": [], "bidders": [{"id": "A"}]},
+        {"keywords": ["u"], "bidders": [], "bids": [["u", "A", 1]]},
+        {"keywords": ["u"], "bidders": [], "bids": None},
+    ],
+)
+def test_instance_doc_rejects_malformed_shapes(doc):
+    with pytest.raises(ValueError):
+        instance_from_doc(doc)
+
+
+def test_instance_doc_rejects_duplicate_bid_entries():
+    doc = instance_to_doc(sample_instance())
+    doc["bids"].append({"keyword": "u1", "bidder": "B", "amount": 1})
+    with pytest.raises(ValueError, match="duplicate bid entry"):
+        instance_from_doc(doc)
+
+
 def test_instance_doc_drops_zero_bids():
     inst = Instance(("u",), (("A", 1), ("B", 2)), {("u", "A"): 0, ("u", "B"): 2})
     doc = instance_to_doc(inst)

@@ -7,12 +7,8 @@ import pytest
 from auctionlab import (
     SKIP,
     Assign,
-    EdgeKind,
     Instance,
     InvalidParams,
-    Matching,
-    NotANonMatchingEdge,
-    classify_edge,
     execute,
     max_matching,
     opt_2pm,
@@ -105,44 +101,6 @@ def test_top_c_value_is_sum_of_largest_runner_ups():
         )
         tops = sorted((second_highest(inst, u) for u in inst.keywords), reverse=True)
         assert top_c(inst, c).value == sum(tops[:c])
-
-
-# ----------------------------------------------------------------------
-# classify_edge
-
-
-def classify_fixture():
-    inst = unit_instance({"u1": ["v", "w"], "u2": ["v", "w"]})
-    return inst
-
-
-def test_edge_is_down_when_partner_arrives_later():
-    inst = classify_fixture()
-    f = Matching({"u2": "v"})
-    got = classify_edge(inst, f, ("u1", "v"))
-    assert got.kind is EdgeKind.DOWN
-    assert (got.keyword, got.bidder) == ("u1", "v")
-
-
-def test_edge_is_up_when_partner_arrives_earlier():
-    inst = classify_fixture()
-    f = Matching({"u1": "v"})
-    assert classify_edge(inst, f, ("u2", "v")).kind is EdgeKind.UP
-
-
-def test_edge_to_unmatched_bidder_is_down():
-    inst = classify_fixture()
-    f = Matching({"u1": "v"})
-    assert classify_edge(inst, f, ("u2", "w")).kind is EdgeKind.DOWN
-
-
-def test_classify_rejects_matching_and_absent_edges():
-    inst = unit_instance({"u1": ["v", "w"], "u2": ["v", "w", "x"]})
-    f = Matching({"u1": "v"})
-    with pytest.raises(NotANonMatchingEdge):
-        classify_edge(inst, f, ("u1", "v"))
-    with pytest.raises(NotANonMatchingEdge):
-        classify_edge(inst, f, ("u1", "x"))
 
 
 # ----------------------------------------------------------------------

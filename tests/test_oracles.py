@@ -103,6 +103,44 @@ def test_max_matching_size_ignores_arrival_order(seed, shuffler):
     assert max_matching(inst).size == max_matching(permuted).size
 
 
+def _recursive_matching(inst):
+    """Kuhn's augmenting-path search, written recursively as a reference."""
+    owner = {}
+
+    def try_assign(u, visited):
+        for v in inst.neighbors(u):
+            if v in visited:
+                continue
+            visited.add(v)
+            if v not in owner or try_assign(owner[v], visited):
+                owner[v] = u
+                return True
+        return False
+
+    for u in inst.keywords:
+        try_assign(u, set())
+    return {u: v for v, u in owner.items()}
+
+
+def test_max_matching_equals_recursive_search():
+    for seed in range(60):
+        inst = _random_unit(random.Random(seed), m=8, n=7, p=0.35)
+        assert max_matching(inst).pairs == _recursive_matching(inst)
+
+
+def test_max_matching_follows_a_5000_long_augmenting_path():
+    # u_i bids on v_{i-1} and v_i, so u_i first takes v_{i-1}; z then
+    # bids only on v0 and has to shift every u_i one bidder to the right
+    n = 5000
+    adjacency = {f"u{i}": [f"v{i - 1}", f"v{i}"] for i in range(1, n + 1)}
+    adjacency["z"] = ["v0"]
+    inst = unit_instance(adjacency, bidders=[f"v{i}" for i in range(n + 1)])
+    pairs = max_matching(inst).pairs
+    assert len(pairs) == n + 1
+    assert pairs["z"] == "v0"
+    assert all(pairs[f"u{i}"] == f"v{i}" for i in range(1, n + 1))
+
+
 # ----------------------------------------------------------------------
 # opt_2pm
 

@@ -5,6 +5,8 @@ import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab import (
     Assign,
@@ -31,6 +33,7 @@ from auctionlab import (
     vc_to_2pm,
     yes_strategy,
 )
+from auctionlab.formats import instance_to_doc
 
 # ----------------------------------------------------------------------
 # equal-sum partition gadget
@@ -200,6 +203,74 @@ def test_transform_keeps_unit_instances_unit():
     inst = unit_instance({"u": ["a", "b"]})
     prime = to_first_price_bids(inst)
     assert prime.positive_bids("u") == {"a": 1, "b": 1}
+
+
+# Dense-scan definitions of the transform and the second-bidder rule:
+# every bidder of the instance, zero and absent bids included, is compared
+# against every other.  The packaged versions only read positive rows.
+
+
+def dense_first_price_bids(instance):
+    bids = {}
+    ids = instance.bidder_ids
+    for u in instance.keywords:
+        amounts = [instance.bids.get((u, v), 0) for v in ids]
+        for i, v in enumerate(ids):
+            below = [a for j, a in enumerate(amounts) if j != i and a <= amounts[i]]
+            b_prime = max(below, default=0)
+            if b_prime > 0:
+                bids[(u, v)] = b_prime
+    return Instance(instance.keywords, instance.bidders, bids)
+
+
+def dense_second_bidder(instance, keyword, bidder):
+    """Lowest-index rival bidding exactly b'(keyword, bidder); None if none."""
+    own = instance.bids.get((keyword, bidder), 0)
+    target = max(
+        (
+            instance.bids.get((keyword, v), 0)
+            for v in instance.bidder_ids
+            if v != bidder and instance.bids.get((keyword, v), 0) <= own
+        ),
+        default=0,
+    )
+    for v in instance.bidder_ids:
+        if v != bidder and instance.bids.get((keyword, v), 0) == target:
+            return v
+    return None
+
+
+@st.composite
+def small_instances(draw):
+    """Up to 4 keywords and 5 bidders; bids absent, zero or in 1..3, so
+    ties and empty rows are common."""
+    keywords = tuple(f"u{i}" for i in range(draw(st.integers(0, 4))))
+    bidders = tuple((f"v{j}", 3) for j in range(draw(st.integers(1, 5))))
+    bids = {}
+    for u in keywords:
+        for v, _ in bidders:
+            amount = draw(st.sampled_from((None, 0, 1, 2, 3)))
+            if amount is not None:
+                bids[(u, v)] = amount
+    return Instance(keywords, bidders, bids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_transform_and_second_bidder_match_dense_scan(inst):
+    prime = to_first_price_bids(inst)
+    assert instance_to_doc(prime) == instance_to_doc(dense_first_price_bids(inst))
+    for u in inst.keywords:
+        for v in inst.bidder_ids:
+            expected = dense_second_bidder(inst, u, v)
+            if expected is None:
+                with pytest.raises(UnresolvableSecondBidder):
+                    resolve_second_bidder(inst, u, v)
+                continue
+            second = resolve_second_bidder(inst, u, v)
+            assert second == expected
+            # random_construction charges b'(u, v) as the second's own bid
+            assert inst.bid(u, second) == prime.bid(u, v)
 
 
 def test_transformed_bids_never_exceed_originals():
