@@ -75,6 +75,15 @@ def _load_instance(path: str):
         return formats.load_instance(fp)
 
 
+def _load_valid_instance(path: str):
+    """Load an instance file, or None after printing each validate() error."""
+    instance = _load_instance(path)
+    report = validate(instance)
+    for line in report.errors:
+        print(f"error: {line}", file=sys.stderr)
+    return instance if report.ok else None
+
+
 def _emit(doc: object, out: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if out:
@@ -114,6 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--input", required=True)
     oracle.add_argument("--out")
     oracle.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+    oracle.add_argument("--stats", action="store_true", help="print search statistics to stderr")
 
     gen = sub.add_parser("generate", help="emit an instance from a named family")
     gen.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
@@ -142,7 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args, parser) -> int:
-    instance = _load_instance(args.input)
+    instance = _load_valid_instance(args.input)
+    if instance is None:
+        return 1
     if args.k is not None:
         if args.k < 1:
             parser.error("--k must be >= 1")
@@ -167,7 +179,9 @@ def _cmd_solve(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
-    instance = _load_instance(args.input)
+    instance = _load_valid_instance(args.input)
+    if instance is None:
+        return 1
     if args.problem == "2pm":
         res = opt_2pm(instance, node_limit=args.node_limit)
         doc = {"value": res.value, "trace": formats.trace_to_doc(res.witness)}
@@ -177,6 +191,9 @@ def _cmd_oracle(args, parser) -> int:
     else:
         res = opt_1paa(instance, node_limit=args.node_limit)
         doc = {"value": res.value, "winners": dict(res.witness)}
+    if args.stats:
+        stats = res.stats
+        print(f"stats: nodes={stats.nodes} memo_entries={stats.memo_entries}", file=sys.stderr)
     _emit(doc, args.out)
     return 0
 

@@ -4,12 +4,17 @@ The brute-force searches use memoized depth-first search whose state is
 projected onto the bidders that still matter for the remaining keywords,
 which keeps gadget-sized instances tractable.  Every search takes an
 explicit node budget and fails deterministically with TooLarge beyond it.
+
+Each search also skips children that an exact upper bound shows cannot be
+strictly better than the best value found so far.  A choice is replaced only
+by a strictly better one, so values and witnesses are those of the unpruned
+search and node counts can only fall.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 from .errors import InfeasibleTrace, InvalidParams, TooLarge, UnknownId
 from .model import SKIP, Assign, AuctionTrace, Instance, execute
@@ -45,15 +50,29 @@ class Matching:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """Work done by one exhaustive search.
+
+    `nodes` counts expanded states; it is the smallest node_limit under which
+    the search finishes.  `memo_entries` counts the states stored for replay.
+    """
+
+    nodes: int
+    memo_entries: int
+
+
+@dataclass(frozen=True)
 class OptResult:
     """Optimal value plus a witness that replays to exactly that value.
 
     The witness is an AuctionTrace for the auction searches and a
-    keyword -> bidder winner mapping for the first-price search.
+    keyword -> bidder winner mapping for the first-price search.  `stats`
+    does not take part in equality.
     """
 
     value: int
     witness: object
+    stats: SearchStats = field(compare=False)
 
 
 def max_matching(instance: Instance) -> Matching:
@@ -121,6 +140,14 @@ def _still_bidding(rows: Sequence[tuple[tuple[int, int], ...]]) -> list[tuple[in
     return future
 
 
+def _search_root(name: str, m: int, best: Callable[..., int], *root) -> int:
+    """Run a recursive search from its root; too deep a search is TooLarge."""
+    try:
+        return best(*root)
+    except RecursionError:
+        raise TooLarge(f"{name} needs search depth {m}, beyond the recursion limit") from None
+
+
 def _check_replay(value: int, total: int) -> None:
     if value != total:
         raise InfeasibleTrace(f"witness replays to {value}, search found {total}")
@@ -133,6 +160,11 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
     not consumed, so allocating keyword u to v for profit 1 just needs some
     distinct uncharged neighbor at that moment.  Zero-price assignments
     leave the state unchanged and are dominated by Skip.
+
+    Bound: no child beats 1 + Skip's value, so the first child reaching it
+    ends the keyword's loop.  Exact because charging one more bidder never
+    raises the optimum: every strategy legal with charged set C + {i} is
+    legal with C.
     """
     _require_unit(instance, "opt_2pm")
     nbrs = [tuple(map(instance.bidder_index, instance.positive_bids(u))) for u in instance.keywords]
@@ -160,17 +192,19 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
         nodes += 1
         if nodes > node_limit:
             raise TooLarge(f"opt_2pm exceeded node limit {node_limit}")
-        value, choice = best(t + 1, consumed), None
+        skip = best(t + 1, consumed)
+        value, choice = skip, None
         avail = [i for i in nbrs[t] if not consumed >> i & 1]
         if len(avail) >= 2:
             for i in avail:
                 got = 1 + best(t + 1, consumed | 1 << i)
-                if got > value:
+                if got > skip:
                     value, choice = got, i
+                    break
         memo[key] = (value, choice)
         return value
 
-    total = best(0, 0)
+    total = _search_root("opt_2pm", m, best, 0, 0)
 
     # replay the stored choices into an explicit trace
     ids = instance.bidder_ids
@@ -186,7 +220,7 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
             consumed |= 1 << choice
     trace = execute(instance, actions)
     _check_replay(trace.value, total)
-    return OptResult(total, trace)
+    return OptResult(total, trace, SearchStats(nodes, len(memo)))
 
 
 def second_bid_upper_bound(instance: Instance) -> int:
@@ -212,8 +246,12 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
 
     Explores Skip plus every ordered pair of positive bidders whose price
     would be positive, memoized on the remaining-budget vector projected to
-    bidders still relevant.  Prices never exceed the per-keyword
-    second-highest original bid, which bounds subtree values.
+    bidders still relevant.
+
+    Bound: a pair charging eff2 is skipped when eff2 plus the later keywords'
+    second-highest original bids cannot beat the best value so far.  Exact
+    because a price never exceeds its keyword's second-highest original bid,
+    whatever the budgets.
     """
     rows = _indexed_rows(instance)
     future = _still_bidding(rows)
@@ -246,7 +284,7 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
             if eff2 <= 0:
                 continue
             for i, (first, bid1) in enumerate(row):
-                if i == j or min(bid1, rem[first]) < eff2:
+                if i == j or min(bid1, rem[first]) < eff2 or eff2 + suffix[t + 1] <= value:
                     continue
                 child = list(rem)
                 child[first] -= eff2
@@ -256,7 +294,7 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
         memo[key] = (value, choice)
         return value
 
-    total = best(0, tuple(budgets0))
+    total = _search_root("opt_2paa", m, best, 0, tuple(budgets0))
 
     ids = instance.bidder_ids
     actions = []
@@ -274,13 +312,18 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
             rem[first] -= price
     trace = execute(instance, actions)
     _check_replay(trace.value, total)
-    return OptResult(total, trace)
+    return OptResult(total, trace, SearchStats(nodes, len(memo)))
 
 
 def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResult:
     """Optimal budgeted first-price value; the winner pays its effective bid.
 
     Witness is a keyword -> bidder mapping (winners may repeat bidders).
+
+    Bound: a winner paying eff is skipped when eff plus Skip's value cannot
+    beat the best value so far.  Exact because a bidder's total payment is
+    min(budget, sum of its assigned bids), which never rises when a budget
+    falls.
     """
     rows = _indexed_rows(instance)
     future = _still_bidding(rows)
@@ -301,10 +344,11 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
         nodes += 1
         if nodes > node_limit:
             raise TooLarge(f"opt_1paa exceeded node limit {node_limit}")
-        value, choice = best(t + 1, rem), None
+        skip = best(t + 1, rem)
+        value, choice = skip, None
         for winner, bid in rows[t]:
             eff = min(bid, rem[winner])
-            if eff <= 0:
+            if eff <= 0 or eff + skip <= value:
                 continue
             child = list(rem)
             child[winner] -= eff
@@ -314,7 +358,7 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
         memo[key] = (value, choice)
         return value
 
-    total = best(0, tuple(budgets0))
+    total = _search_root("opt_1paa", m, best, 0, tuple(budgets0))
 
     ids = instance.bidder_ids
     winners: dict[str, str] = {}
@@ -326,7 +370,7 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
             winners[instance.keywords[t]] = ids[winner]
             rem[winner] -= price
     _check_replay(first_price_value(instance, winners), total)
-    return OptResult(total, winners)
+    return OptResult(total, winners, SearchStats(nodes, len(memo)))
 
 
 def first_price_value(instance: Instance, winners: Mapping[str, str]) -> int:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from auctionlab import Instance, gap_instance, opt_2paa
+from auctionlab import Instance, gap_instance, opt_2paa, unit_instance
 from auctionlab.cli import main
 from auctionlab.formats import dump_instance, instance_from_doc
 
@@ -128,6 +128,56 @@ def test_oracle_node_limit_failure_is_exit_one(unit_file, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem", ["2pm", "2paa", "1paa"])
+def test_oracle_too_deep_instance_is_one_error_line(tmp_path, capsys, problem):
+    deep = unit_instance({f"u{i}": [f"a{i}", f"b{i}"] for i in range(1200)})
+    path = tmp_path / "deep.json"
+    with open(path, "w") as fp:
+        dump_instance(deep, fp)
+    assert main(["oracle", "--problem", problem, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and "depth 1200" in captured.err
+
+
+def test_oracle_stats_go_to_stderr_only(unit_file, capsys):
+    assert main(["oracle", "--problem", "2pm", "--input", str(unit_file)]) == 0
+    plain = capsys.readouterr()
+    assert main(["oracle", "--problem", "2pm", "--input", str(unit_file), "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    assert plain.err == ""
+    assert captured.err.startswith("stats: nodes=") and captured.err.count("\n") == 1
+
+
+DUPLICATE_KEYWORD = {
+    "keywords": ["u", "u"],
+    "bidders": [{"id": "a", "budget": 1}, {"id": "b", "budget": 1}],
+    "bids": [
+        {"keyword": "u", "bidder": "a", "amount": 1},
+        {"keyword": "u", "bidder": "b", "amount": 1},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "--problem", "2pm"], ["solve", "--algorithm", "greedy"]],
+    ids=["oracle", "solve"],
+)
+def test_invalid_instance_is_refused_with_validate_errors(tmp_path, capsys, argv):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(DUPLICATE_KEYWORD))
+    assert main([*argv, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and "duplicate keyword id 'u'" in captured.err
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Reference solvers checked against tiny hand values and naive re-implementations.
 
 The naive solvers here are deliberately dumb (no memoization, no pruning)
-so that agreement with the packaged searches is meaningful evidence.
+so that agreement with the packaged searches is meaningful evidence.  The
+unpruned searches further down are the memoized searches without their
+bounds; the pruned ones must return the same values and witnesses.
 """
 
 import itertools
@@ -12,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlab import (
+    SKIP,
     Assign,
     Instance,
     InvalidParams,
     Matching,
+    OptResult,
+    SearchStats,
     TooLarge,
     execute,
     first_price_value,
@@ -23,6 +28,8 @@ from auctionlab import (
     opt_1paa,
     opt_2paa,
     opt_2pm,
+    random_2paa,
+    random_2pm,
     second_bid_upper_bound,
     to_first_price_bids,
     unit_instance,
@@ -361,3 +368,245 @@ def test_exhaustive_tiny_unit_instances_match_naive():
     for row1, row2 in itertools.product(rows, repeat=2):
         inst = unit_instance({"u1": list(row1), "u2": list(row2)}, bidders=bidders)
         assert opt_2pm(inst).value == _naive_2pm_value(inst)
+
+
+def _deep_unit(m=1200):
+    # u_i bids on its own fresh pair: an easy instance, but the search is
+    # m calls deep
+    return unit_instance({f"u{i}": [f"a{i}", f"b{i}"] for i in range(m)})
+
+
+@pytest.mark.parametrize("oracle", [opt_2pm, opt_2paa, opt_1paa], ids=lambda f: f.__name__)
+def test_search_deeper_than_the_recursion_limit_is_too_large(oracle):
+    with pytest.raises(TooLarge, match=f"{oracle.__name__} needs search depth 1200"):
+        oracle(_deep_unit())
+
+
+# ----------------------------------------------------------------------
+# search statistics
+
+
+NODE_INSTANCES = [
+    (opt_2pm, lambda: random_2pm(12, 12, 0.3, seed=0)),
+    (opt_2paa, lambda: random_2paa(8, 4, 9, 1, seed=1)),
+    (opt_1paa, lambda: random_2paa(10, 4, 9, 1, seed=0)),
+]
+
+
+@pytest.mark.parametrize("oracle, make", NODE_INSTANCES, ids=["opt_2pm", "opt_2paa", "opt_1paa"])
+def test_stats_nodes_is_the_smallest_node_limit_that_finishes(oracle, make):
+    inst = make()
+    result = oracle(inst)
+    # every expanded state is stored for the replay
+    assert result.stats.memo_entries == result.stats.nodes
+    assert oracle(inst, node_limit=result.stats.nodes) == result
+    with pytest.raises(TooLarge):
+        oracle(inst, node_limit=result.stats.nodes - 1)
+
+
+def test_stats_do_not_take_part_in_equality():
+    assert OptResult(1, None, SearchStats(5, 5)) == OptResult(1, None, SearchStats(9, 7))
+
+
+# ----------------------------------------------------------------------
+# pruned searches against the unpruned ones
+
+
+def _rows(inst):
+    index = inst.bidder_index
+    return [
+        tuple((index(v), a) for v, a in inst.positive_bids(u).items()) for u in inst.keywords
+    ]
+
+
+def _future(rows):
+    """Per step t, the sorted indices of bidders bidding at t or later."""
+    future, acc = [()] * (len(rows) + 1), set()
+    for t in range(len(rows) - 1, -1, -1):
+        acc.update(i for i, _ in rows[t])
+        future[t] = tuple(sorted(acc))
+    return future
+
+
+def _unpruned_2pm(inst):
+    """opt_2pm without its bound: (value, witness actions, node count)."""
+    m = inst.m
+    nbrs = [tuple(i for i, _ in row) for row in _rows(inst)]
+    future = [sum(1 << i for i in f) for f in _future(_rows(inst))]
+    memo = {}
+
+    def best(t, consumed):
+        if t == m:
+            return 0
+        key = (t, consumed & future[t])
+        if key not in memo:
+            value, choice = best(t + 1, consumed), None
+            avail = [i for i in nbrs[t] if not consumed >> i & 1]
+            if len(avail) >= 2:
+                for i in avail:
+                    got = 1 + best(t + 1, consumed | 1 << i)
+                    if got > value:
+                        value, choice = got, i
+            memo[key] = (value, choice)
+        return memo[key][0]
+
+    value = best(0, 0)
+    ids, actions, consumed = inst.bidder_ids, [], 0
+    for t in range(m):
+        choice = memo[(t, consumed & future[t])][1]
+        if choice is None:
+            actions.append(SKIP)
+        else:
+            second = next(i for i in nbrs[t] if i != choice and not consumed >> i & 1)
+            actions.append(Assign(ids[choice], ids[second]))
+            consumed |= 1 << choice
+    return value, tuple(actions), len(memo)
+
+
+def _unpruned_2paa(inst):
+    """opt_2paa without its bound: (value, witness actions, node count)."""
+    m, rows = inst.m, _rows(inst)
+    future = _future(rows)
+    suffix = [0] * (m + 1)
+    for t in range(m - 1, -1, -1):
+        amounts = sorted((a for _, a in rows[t]), reverse=True)
+        suffix[t] = suffix[t + 1] + (amounts[1] if len(amounts) >= 2 else 0)
+    memo = {}
+
+    def best(t, rem):
+        if t == m or suffix[t] == 0:
+            return 0
+        key = (t,) + tuple(rem[i] for i in future[t])
+        if key not in memo:
+            value, choice = best(t + 1, rem), None
+            for j, (second, bid2) in enumerate(rows[t]):
+                eff2 = min(bid2, rem[second])
+                if eff2 <= 0:
+                    continue
+                for i, (first, bid1) in enumerate(rows[t]):
+                    if i == j or min(bid1, rem[first]) < eff2:
+                        continue
+                    child = list(rem)
+                    child[first] -= eff2
+                    got = eff2 + best(t + 1, tuple(child))
+                    if got > value:
+                        value, choice = got, (first, second, eff2)
+            memo[key] = (value, choice)
+        return memo[key][0]
+
+    rem = [b for _, b in inst.bidders]
+    value = best(0, tuple(rem))
+    ids, actions = inst.bidder_ids, []
+    for t in range(m):
+        choice = None if suffix[t] == 0 else memo[(t,) + tuple(rem[i] for i in future[t])][1]
+        if choice is None:
+            actions.append(SKIP)
+        else:
+            first, second, price = choice
+            actions.append(Assign(ids[first], ids[second]))
+            rem[first] -= price
+    return value, tuple(actions), len(memo)
+
+
+def _unpruned_1paa(inst):
+    """opt_1paa without its bound: (value, winner mapping, node count)."""
+    m, rows = inst.m, _rows(inst)
+    future = _future(rows)
+    memo = {}
+
+    def best(t, rem):
+        if t == m:
+            return 0
+        key = (t,) + tuple(rem[i] for i in future[t])
+        if key not in memo:
+            value, choice = best(t + 1, rem), None
+            for winner, bid in rows[t]:
+                eff = min(bid, rem[winner])
+                if eff <= 0:
+                    continue
+                child = list(rem)
+                child[winner] -= eff
+                got = eff + best(t + 1, tuple(child))
+                if got > value:
+                    value, choice = got, (winner, eff)
+            memo[key] = (value, choice)
+        return memo[key][0]
+
+    rem = [b for _, b in inst.bidders]
+    value = best(0, tuple(rem))
+    winners = {}
+    for t in range(m):
+        choice = memo[(t,) + tuple(rem[i] for i in future[t])][1]
+        if choice is not None:
+            winner, price = choice
+            winners[inst.keywords[t]] = inst.bidder_ids[winner]
+            rem[winner] -= price
+    return value, winners, len(memo)
+
+
+def test_unpruned_searches_reproduce_the_node_counts_measured_before_pruning():
+    unpruned = (_unpruned_2pm, _unpruned_2paa, _unpruned_1paa)
+    counts = [search(make())[2] for search, (_, make) in zip(unpruned, NODE_INSTANCES)]
+    assert counts == [4466, 2595, 8573]
+    # and the bounds cut them to
+    assert [oracle(make()).stats.nodes for oracle, make in NODE_INSTANCES] == [1841, 2331, 8043]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 10),
+    st.integers(2, 8),
+    st.sampled_from([0.2, 0.35, 0.5]),
+    st.integers(0, 10**6),
+)
+def test_pruned_2pm_equals_unpruned_search(m, n, p, seed):
+    inst = random_2pm(m, n, p, seed=seed)
+    result = opt_2pm(inst)
+    value, actions, nodes = _unpruned_2pm(inst)
+    assert (result.value, result.witness.actions()) == (value, actions)
+    assert result.stats.nodes <= nodes
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.integers(1, 4),
+    st.integers(1, 7),
+    st.integers(1, 2),
+    st.integers(0, 10**6),
+)
+def test_pruned_auction_searches_equal_unpruned_search(m, n, max_bid, r, seed):
+    inst = random_2paa(m, n, max_bid, r, seed=seed)
+    result = opt_2paa(inst)
+    value, actions, nodes = _unpruned_2paa(inst)
+    assert (result.value, result.witness.actions()) == (value, actions)
+    assert result.stats.nodes <= nodes
+    result = opt_1paa(inst)
+    value, winners, nodes = _unpruned_1paa(inst)
+    assert (result.value, result.witness) == (value, winners)
+    assert result.stats.nodes <= nodes
+
+
+# the lemmas the bounds rest on
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 5))
+def test_dropping_a_bidders_bids_never_raises_opt_2pm(seed, k):
+    # charging bidder v removes it from every later keyword
+    inst = random_2pm(9, 6, 0.35, seed=seed)
+    v = inst.bidder_ids[k]
+    bids = {(u, w): a for (u, w), a in inst.bids.items() if w != v}
+    dropped = Instance(inst.keywords, inst.bidders, bids)
+    assert opt_2pm(dropped).value <= opt_2pm(inst).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3), st.integers(1, 20))
+def test_lowering_one_budget_never_raises_opt_1paa(seed, k, cut):
+    inst = random_2paa(7, 4, 6, 1, seed=seed)
+    bidders = list(inst.bidders)
+    v, budget = bidders[k]
+    bidders[k] = (v, max(0, budget - cut))
+    lowered = Instance(inst.keywords, tuple(bidders), inst.bids)
+    assert opt_1paa(lowered).value <= opt_1paa(inst).value
