@@ -322,7 +322,7 @@ def _cmd_validate(args, parser) -> int:
     instance = _load_instance(args.input)
     report = validate(instance)
     for line in report.errors:
-        print(f"error: {line}")
+        print(f"error: {line}", file=sys.stderr)
     for line in report.warnings:
         print(f"warning: {line}")
     if report.ok:

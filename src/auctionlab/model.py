@@ -74,29 +74,30 @@ class Instance:
     bids: Mapping[tuple[str, str], int]
 
     def __post_init__(self) -> None:
+        # `type(x) is int` lets plain ints skip _money and its message
         object.__setattr__(self, "keywords", tuple(self.keywords))
         object.__setattr__(
             self,
             "bidders",
-            tuple((v, _money(b, f"budget of {v!r}")) for v, b in self.bidders),
+            tuple(
+                (v, b if type(b) is int else _money(b, f"budget of {v!r}"))
+                for v, b in self.bidders
+            ),
         )
-        object.__setattr__(
-            self,
-            "bids",
-            {
-                (u, v): _money(a, f"bid ({u!r}, {v!r})")
-                for (u, v), a in dict(self.bids).items()
-            },
-        )
-        object.__setattr__(self, "_kw_set", set(self.keywords))
-        object.__setattr__(self, "_index", {v: i for i, (v, _) in enumerate(self.bidders)})
-        # per-keyword positive bids, in bidder-index order
-        rows: dict[str, dict[str, int]] = {u: {} for u in self.keywords}
-        for (u, v), a in sorted(
-            self.bids.items(), key=lambda kv: self._index.get(kv[0][1], len(self._index))  # type: ignore[attr-defined]
-        ):
-            if a > 0 and u in rows and v in self._index:  # type: ignore[attr-defined]
-                rows[u][v] = a
+        bids = {
+            (u, v): a if type(a) is int else _money(a, f"bid ({u!r}, {v!r})")
+            for (u, v), a in dict(self.bids).items()
+        }
+        object.__setattr__(self, "bids", bids)
+        index = {v: i for i, (v, _) in enumerate(self.bidders)}
+        object.__setattr__(self, "_index", index)
+        # per-keyword positive bids, in bidder-index order; indices are unique
+        # within a row, so sorting (index, bidder, amount) never compares ids
+        groups: dict[str, list[tuple[int, str, int]]] = {u: [] for u in self.keywords}
+        for (u, v), a in bids.items():
+            if a > 0 and u in groups and v in index:
+                groups[u].append((index[v], v, a))
+        rows = {u: {v: a for _, v, a in sorted(row)} for u, row in groups.items()}
         object.__setattr__(self, "_rows", rows)
 
     # ------------------------------------------------------------------
@@ -124,14 +125,14 @@ class Instance:
         return {v: b for v, b in self.bidders}
 
     def bid(self, keyword: str, bidder: str) -> int:
-        if keyword not in self._kw_set:  # type: ignore[attr-defined]
+        if keyword not in self._rows:  # type: ignore[attr-defined]
             raise UnknownId(f"unknown keyword {keyword!r}")
         self.bidder_index(bidder)
         return self.bids.get((keyword, bidder), 0)
 
     def positive_bids(self, keyword: str) -> Mapping[str, int]:
         """Read-only view of the positive bids on `keyword`, in bidder-index order."""
-        if keyword not in self._kw_set:  # type: ignore[attr-defined]
+        if keyword not in self._rows:  # type: ignore[attr-defined]
             raise UnknownId(f"unknown keyword {keyword!r}")
         return MappingProxyType(self._rows[keyword])  # type: ignore[attr-defined]
 
@@ -313,14 +314,16 @@ def r_min(instance: Instance) -> Fraction:
     """Exact minimum budget-to-bid ratio over positive bids.
 
     Zero bids are excluded; raises NoPositiveBids when no positive bid exists.
+    Ratios are compared by integer cross-multiplication (bids are positive),
+    and only the minimum becomes a Fraction.
     """
-    best: Fraction | None = None
+    best: tuple[int, int] | None = None  # (budget, bid) of the smallest ratio so far
     budgets = instance.initial_budgets()
     for (u, v), a in instance.bids.items():
         if a > 0 and v in budgets:
-            ratio = Fraction(budgets[v], a)
-            if best is None or ratio < best:
-                best = ratio
+            b = budgets[v]
+            if best is None or b * best[1] < best[0] * a:
+                best = (b, a)
     if best is None:
         raise NoPositiveBids("instance has no positive bid")
-    return best
+    return Fraction(*best)

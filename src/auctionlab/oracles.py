@@ -80,45 +80,65 @@ def max_matching(instance: Instance) -> Matching:
 
     Deterministic: keywords are processed in arrival order and bidders
     probed in index order, so reruns yield the identical matching.
+
+    A bidder visited in a search stays marked until the next augmentation
+    (the visit stamp advances only then), so a failed search is never
+    repeated.  This is exact: a failed search changes no owner and leaves
+    behind a marked set that is closed under alternating paths and holds no
+    free bidder, so skipping it changes neither probe order nor path.
     """
-    owner: dict[str, str] = {}  # bidder -> keyword
-    for u in instance.keywords:
-        _augment(instance, owner, u)
-    return Matching({u: v for v, u in owner.items()})
+    rows = _neighbor_rows(instance)
+    owner: dict[int, int] = {}  # bidder index -> keyword position
+    seen = [0] * len(instance.bidders)
+    stamp = 1
+    for t in range(len(rows)):
+        if _augment(rows, owner, seen, stamp, t):
+            stamp += 1
+    ids, keywords = instance.bidder_ids, instance.keywords
+    return Matching({keywords[t]: ids[i] for i, t in owner.items()})
 
 
-def _augment(instance: Instance, owner: dict[str, str], root: str) -> None:
-    """Find an augmenting path from `root` by depth-first search and flip it.
+def _augment(
+    rows: Sequence[tuple[int, ...]], owner: dict[int, int], seen: list[int], stamp: int, root: int
+) -> bool:
+    """Find an augmenting path from keyword `root` by depth-first search and flip it.
 
+    Bidders with `seen[i] == stamp` are skipped; the others get marked.
     Iterative, so path length is not bounded by the recursion limit; the
     probe order is that of the recursive search.  `stack[k]` holds a keyword
     on the path with its unprobed neighbors; that keyword tries to take
     bidder `taken[k]`, whose current owner is the keyword of `stack[k + 1]`.
     """
-    visited: set[str] = set()
-    stack = [(root, iter(instance.positive_bids(root)))]
-    taken: list[str] = []
+    stack = [(root, iter(rows[root]))]
+    taken: list[int] = []
     while stack:
-        for v in stack[-1][1]:
-            if v in visited:
+        for i in stack[-1][1]:
+            if seen[i] == stamp:
                 continue
-            visited.add(v)
-            taken.append(v)
-            if v not in owner:
-                for (u, _), w in zip(stack, taken):
-                    owner[w] = u
-                return
-            stack.append((owner[v], iter(instance.positive_bids(owner[v]))))
+            seen[i] = stamp
+            taken.append(i)
+            if i not in owner:
+                for (t, _), j in zip(stack, taken):
+                    owner[j] = t
+                return True
+            stack.append((owner[i], iter(rows[owner[i]])))
             break
         else:
             stack.pop()
             if taken:
                 taken.pop()
+    return False
 
 
 def _require_unit(instance: Instance, who: str) -> None:
     if not instance.is_unit():
         raise InvalidParams(f"{who} needs an all-ones instance (budgets 1, bids 0/1)")
+
+
+def _neighbor_rows(instance: Instance) -> list[tuple[int, ...]]:
+    """Each keyword's positive bidders as bidder indices, in index order."""
+    index = instance.bidder_index
+    return [tuple(map(index, instance.positive_bids(u))) for u in instance.keywords]
 
 
 def _indexed_rows(instance: Instance) -> list[tuple[tuple[int, int], ...]]:
@@ -167,7 +187,7 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
     legal with C.
     """
     _require_unit(instance, "opt_2pm")
-    nbrs = [tuple(map(instance.bidder_index, instance.positive_bids(u))) for u in instance.keywords]
+    nbrs = _neighbor_rows(instance)
     m = instance.m
 
     # bidders that still appear in keywords t..m-1

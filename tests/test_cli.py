@@ -347,7 +347,9 @@ def test_validate_bad_instance(tmp_path, capsys):
         )
     )
     assert main(["validate", "--input", str(path)]) == 1
-    assert "error:" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "error: bid ('u', 'A') = 5 exceeds budget 2" in err
+    assert "error:" not in out
 
 
 def test_validate_warning_still_ok(tmp_path, capsys):

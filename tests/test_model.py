@@ -197,6 +197,87 @@ def test_r_min_requires_a_positive_bid():
         r_min(Instance(("u",), (("A", 3),), {}))
 
 
+# Reference definitions of the row table and r_min as first written: one
+# sort of every bid by bidder index, and a minimum over Fractions.  The
+# packaged versions group bids per keyword and compare ratios as integers.
+
+
+def sorted_rows(instance):
+    index = {v: i for i, (v, _) in enumerate(instance.bidders)}
+    rows = {u: {} for u in instance.keywords}
+    for (u, v), a in sorted(
+        instance.bids.items(), key=lambda kv: index.get(kv[0][1], len(index))
+    ):
+        if a > 0 and u in rows and v in index:
+            rows[u][v] = a
+    return rows
+
+
+def fraction_r_min(instance):
+    """The minimum ratio, or None without a positive bid on a known bidder."""
+    best = None
+    budgets = instance.initial_budgets()
+    for (u, v), a in instance.bids.items():
+        if a > 0 and v in budgets:
+            ratio = Fraction(budgets[v], a)
+            if best is None or ratio < best:
+                best = ratio
+    return best
+
+
+_KEYWORDS = st.sampled_from(("u0", "u1", "u2", "u3"))
+_BIDDERS = st.sampled_from(("v0", "v1", "v2", "v3"))
+
+
+@st.composite
+def raw_instances(draw):
+    """Instance parts with repeated ids, bids on unknown keywords or bidders
+    (u3 and v3 may be left out), and zero and negative amounts."""
+    keywords = draw(st.lists(_KEYWORDS, max_size=5))
+    bidders = draw(st.lists(st.tuples(_BIDDERS, st.integers(-2, 9)), max_size=5))
+    bids = draw(st.dictionaries(st.tuples(_KEYWORDS, _BIDDERS), st.integers(-3, 9), max_size=14))
+    return keywords, bidders, bids
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_instances())
+def test_instance_rows_and_r_min_match_references(parts):
+    keywords, bidders, bids = parts
+    inst = Instance(keywords, bidders, bids)
+    assert list(inst.bids.items()) == list(bids.items())
+    rows = sorted_rows(inst)
+    for u in inst.keywords:
+        assert list(inst.positive_bids(u).items()) == list(rows[u].items())
+    expected = fraction_r_min(inst)
+    if expected is None:
+        with pytest.raises(NoPositiveBids):
+            r_min(inst)
+    else:
+        got = r_min(inst)
+        assert type(got) is Fraction and got == expected
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5])
+def test_instance_rejects_bool_and_float_money(bad):
+    with pytest.raises(TypeError) as budget_error:
+        Instance(("u",), (("A", bad),), {})
+    assert str(budget_error.value) == f"budget of 'A' must be an int, got {bad!r}"
+    with pytest.raises(TypeError) as bid_error:
+        Instance(("u",), (("A", 3),), {("u", "A"): bad})
+    assert str(bid_error.value) == f"bid ('u', 'A') must be an int, got {bad!r}"
+
+
+def test_instance_accepts_int_subclasses():
+    class Cents(int):
+        pass
+
+    inst = Instance(("u",), (("A", Cents(5)), ("B", 4)), {("u", "A"): Cents(2), ("u", "B"): 1})
+    assert type(inst.budget_of("A")) is Cents
+    assert type(inst.bids[("u", "A")]) is Cents
+    assert list(inst.positive_bids("u").items()) == [("A", 2), ("B", 1)]
+    assert r_min(inst) == Fraction(5, 2)
+
+
 # ----------------------------------------------------------------------
 # randomized semantic invariants
 

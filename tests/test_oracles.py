@@ -129,10 +129,49 @@ def _recursive_matching(inst):
     return {u: v for v, u in owner.items()}
 
 
+def _same_matching(inst):
+    """max_matching equals the reference, pair order included."""
+    return list(max_matching(inst).pairs.items()) == list(_recursive_matching(inst).items())
+
+
 def test_max_matching_equals_recursive_search():
     for seed in range(60):
         inst = _random_unit(random.Random(seed), m=8, n=7, p=0.35)
-        assert max_matching(inst).pairs == _recursive_matching(inst)
+        assert _same_matching(inst)
+
+
+# many keywords on few bidders, few keywords on many bidders, and square;
+# the first two make most augmenting-path searches fail
+_SHAPES = st.one_of(
+    st.tuples(st.integers(10, 40), st.integers(1, 5)),
+    st.tuples(st.integers(1, 5), st.integers(10, 40)),
+    st.tuples(st.integers(1, 15), st.integers(1, 15)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SHAPES, st.sampled_from((0.05, 0.2, 0.5, 0.9)), st.integers(0, 10**6), st.booleans())
+def test_max_matching_equals_recursive_search_on_skewed_shapes(shape, p, seed, repeat):
+    m, n = shape
+    rng = random.Random(seed)
+    inst = _random_unit(rng, m=m, n=n, p=p)
+    if repeat:
+        # a keyword id listed twice: both arrivals share one row
+        keywords = list(inst.keywords) + [rng.choice(inst.keywords)]
+        inst = Instance(tuple(keywords), inst.bidders, inst.bids)
+    assert _same_matching(inst)
+
+
+def test_max_matching_crowd_on_twenty_bidders():
+    # 1000 keywords share the same 20 bidders, so almost every search fails
+    rng = random.Random(7)
+    bidders = [f"v{j}" for j in range(20)]
+    adjacency = {
+        f"u{i}": [v for v in bidders if rng.random() < 0.15] for i in range(1000)
+    }
+    inst = unit_instance(adjacency, bidders=bidders)
+    assert _same_matching(inst)
+    assert max_matching(inst).size == 20
 
 
 def test_max_matching_follows_a_5000_long_augmenting_path():
