@@ -101,11 +101,13 @@ class ExperimentReport:
     elapsed: float
 
 
+@lru_cache(maxsize=None)
 def ranking_sum_bound(n: int, k: int) -> Fraction:
     """Exact finite-n lower bound on matched size for the left k-copy.
 
     Sum over s = 1..n of (kn/(kn+1))^s; holds for any n-bidder instance
-    with a perfect matching.
+    with a perfect matching.  Cached: every trial of a suite asks for the
+    same (n, k), and a Fraction is immutable.
     """
     if n < 1 or k < 1:
         raise InvalidParams(f"need n >= 1 and k >= 1, got n={n}, k={k}")

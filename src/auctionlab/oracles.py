@@ -5,6 +5,13 @@ projected onto the bidders that still matter for the remaining keywords,
 which keeps gadget-sized instances tractable.  Every search takes an
 explicit node budget and fails deterministically with TooLarge beyond it.
 
+Each depth t has its own memo table `memos[t]`, keyed by the projected state
+alone: a charged-bidder bitmask in opt_2pm, an `itemgetter` projection of the
+remaining budgets in opt_2paa and opt_1paa.  A parent probes the child's
+table before recursing, so a memo hit is a dict lookup rather than a call,
+and the table one past the last searched depth holds the empty suffix.  A
+node is counted where a state is expanded, as in the plain recursive search.
+
 Each search also skips children that an exact upper bound shows cannot be
 strictly better than the best value found so far.  A choice is replaced only
 by a strictly better one, so values and witnesses are those of the unpruned
@@ -14,6 +21,7 @@ search and node counts can only fall.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .errors import InfeasibleTrace, InvalidParams, TooLarge, UnknownId
@@ -160,6 +168,24 @@ def _still_bidding(rows: Sequence[tuple[tuple[int, int], ...]]) -> list[tuple[in
     return future
 
 
+def _no_key(rem: list[int]) -> tuple[()]:
+    return ()
+
+
+def _projectors(future: Sequence[tuple[int, ...]]) -> list[Callable[[list[int]], object]]:
+    """Per step, the map from a budget list to its memo key on `future[t]`.
+
+    One index gives a scalar key and none gives (); keys of different steps
+    live in different tables, so they never meet.
+    """
+    return [itemgetter(*f) if f else _no_key for f in future]
+
+
+def _memos(depth: int, empty_key: object) -> list[dict]:
+    """Per-step memo tables; the one at `depth` holds the empty suffix (0, no choice)."""
+    return [{} for _ in range(depth)] + [{empty_key: (0, None)}]
+
+
 def _search_root(name: str, m: int, best: Callable[..., int], *root) -> int:
     """Run a recursive search from its root; too deep a search is TooLarge."""
     try:
@@ -187,60 +213,59 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
     legal with C.
     """
     _require_unit(instance, "opt_2pm")
-    nbrs = _neighbor_rows(instance)
+    nmask = [sum(1 << i for i in row) for row in _neighbor_rows(instance)]
     m = instance.m
 
     # bidders that still appear in keywords t..m-1
     future = [0] * (m + 1)
     for t in range(m - 1, -1, -1):
-        mask = future[t + 1]
-        for i in nbrs[t]:
-            mask |= 1 << i
-        future[t] = mask
+        future[t] = future[t + 1] | nmask[t]
 
-    memo: dict[tuple[int, int], tuple[int, int | None]] = {}
+    # memos[t]: charged set & future[t] -> (value, bit of the charged bidder)
+    memos = _memos(m, 0)
     nodes = 0
 
     def best(t: int, consumed: int) -> int:
         nonlocal nodes
-        if t == m:
-            return 0
-        key = (t, consumed & future[t])
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
         nodes += 1
         if nodes > node_limit:
             raise TooLarge(f"opt_2pm exceeded node limit {node_limit}")
-        skip = best(t + 1, consumed)
+        memo, fut = memos[t + 1], future[t + 1]
+        hit = memo.get(consumed & fut)
+        skip = hit[0] if hit is not None else best(t + 1, consumed)
         value, choice = skip, None
-        avail = [i for i in nbrs[t] if not consumed >> i & 1]
-        if len(avail) >= 2:
-            for i in avail:
-                got = 1 + best(t + 1, consumed | 1 << i)
+        avail = nmask[t] & ~consumed
+        if avail & (avail - 1):  # at least two uncharged neighbors
+            while avail:
+                bit = avail & -avail
+                child = consumed | bit
+                hit = memo.get(child & fut)
+                got = 1 + (hit[0] if hit is not None else best(t + 1, child))
                 if got > skip:
-                    value, choice = got, i
+                    value, choice = got, bit
                     break
-        memo[key] = (value, choice)
+                avail ^= bit
+        memos[t][consumed & future[t]] = (value, choice)
         return value
 
-    total = _search_root("opt_2pm", m, best, 0, 0)
+    total = _search_root("opt_2pm", m, best, 0, 0) if m else 0
 
     # replay the stored choices into an explicit trace
     ids = instance.bidder_ids
     actions = []
     consumed = 0
     for t in range(m):
-        choice = memo[(t, consumed & future[t])][1]
+        choice = memos[t][consumed & future[t]][1]
         if choice is None:
             actions.append(SKIP)
         else:
-            second = next(i for i in nbrs[t] if i != choice and not consumed >> i & 1)
-            actions.append(Assign(ids[choice], ids[second]))
-            consumed |= 1 << choice
+            rest = nmask[t] & ~consumed & ~choice
+            second = (rest & -rest).bit_length() - 1
+            actions.append(Assign(ids[choice.bit_length() - 1], ids[second]))
+            consumed |= choice
     trace = execute(instance, actions)
     _check_replay(trace.value, total)
-    return OptResult(total, trace, SearchStats(nodes, len(memo)))
+    return OptResult(total, trace, SearchStats(nodes, sum(map(len, memos[:m]))))
 
 
 def second_bid_upper_bound(instance: Instance) -> int:
@@ -274,65 +299,66 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
     whatever the budgets.
     """
     rows = _indexed_rows(instance)
-    future = _still_bidding(rows)
-    budgets0 = [b for _, b in instance.bidders]
     m = instance.m
 
     s_u = _second_bids(instance)
     suffix = [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         suffix[t] = suffix[t + 1] + s_u[t]
+    # no keyword from `depth` on can charge a positive price
+    depth = suffix.index(0)
+    keys = _projectors(_still_bidding(rows)[:depth] + [()])
 
-    memo: dict[tuple, tuple[int, tuple[int, int, int] | None]] = {}
+    memos = _memos(depth, ())
     nodes = 0
 
-    def best(t: int, rem: tuple[int, ...]) -> int:
+    def best(t: int, rem: list[int]) -> int:
         nonlocal nodes
-        if t == m or suffix[t] == 0:
-            return 0
-        key = (t,) + tuple(rem[i] for i in future[t])
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
         nodes += 1
         if nodes > node_limit:
             raise TooLarge(f"opt_2paa exceeded node limit {node_limit}")
-        value, choice = best(t + 1, rem), None
+        memo, key, later = memos[t + 1], keys[t + 1], suffix[t + 1]
+        hit = memo.get(key(rem))
+        value = hit[0] if hit is not None else best(t + 1, rem)
+        choice = None
         row = rows[t]
         for j, (second, bid2) in enumerate(row):
-            eff2 = min(bid2, rem[second])
-            if eff2 <= 0:
+            left = rem[second]
+            eff2 = bid2 if bid2 < left else left  # min() without the call
+            if eff2 <= 0 or eff2 + later <= value:
                 continue
             for i, (first, bid1) in enumerate(row):
-                if i == j or min(bid1, rem[first]) < eff2 or eff2 + suffix[t + 1] <= value:
+                if i == j or bid1 < eff2 or rem[first] < eff2:
                     continue
-                child = list(rem)
+                child = rem.copy()
                 child[first] -= eff2
-                got = eff2 + best(t + 1, tuple(child))
+                hit = memo.get(key(child))
+                got = eff2 + (hit[0] if hit is not None else best(t + 1, child))
                 if got > value:
                     value, choice = got, (first, second, eff2)
-        memo[key] = (value, choice)
+                    if eff2 + later <= value:
+                        break
+        memos[t][keys[t](rem)] = (value, choice)
         return value
 
-    total = _search_root("opt_2paa", m, best, 0, tuple(budgets0))
+    budgets0 = [b for _, b in instance.bidders]
+    total = _search_root("opt_2paa", m, best, 0, budgets0) if depth else 0
 
     ids = instance.bidder_ids
     actions = []
     rem = list(budgets0)
-    for t in range(m):
-        if t == m or suffix[t] == 0:
-            actions.extend([SKIP] * (m - t))
-            break
-        choice = memo[(t,) + tuple(rem[i] for i in future[t])][1]
+    for t in range(depth):
+        choice = memos[t][keys[t](rem)][1]
         if choice is None:
             actions.append(SKIP)
         else:
             first, second, price = choice
             actions.append(Assign(ids[first], ids[second]))
             rem[first] -= price
+    actions.extend([SKIP] * (m - depth))
     trace = execute(instance, actions)
     _check_replay(trace.value, total)
-    return OptResult(total, trace, SearchStats(nodes, len(memo)))
+    return OptResult(total, trace, SearchStats(nodes, sum(map(len, memos[:depth]))))
 
 
 def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResult:
@@ -346,51 +372,49 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
     falls.
     """
     rows = _indexed_rows(instance)
-    future = _still_bidding(rows)
-    budgets0 = [b for _, b in instance.bidders]
+    keys = _projectors(_still_bidding(rows))
     m = instance.m
 
-    memo: dict[tuple, tuple[int, tuple[int, int] | None]] = {}
+    memos = _memos(m, ())
     nodes = 0
 
-    def best(t: int, rem: tuple[int, ...]) -> int:
+    def best(t: int, rem: list[int]) -> int:
         nonlocal nodes
-        if t == m:
-            return 0
-        key = (t,) + tuple(rem[i] for i in future[t])
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
         nodes += 1
         if nodes > node_limit:
             raise TooLarge(f"opt_1paa exceeded node limit {node_limit}")
-        skip = best(t + 1, rem)
+        memo, key = memos[t + 1], keys[t + 1]
+        hit = memo.get(key(rem))
+        skip = hit[0] if hit is not None else best(t + 1, rem)
         value, choice = skip, None
         for winner, bid in rows[t]:
-            eff = min(bid, rem[winner])
+            left = rem[winner]
+            eff = bid if bid < left else left  # min() without the call
             if eff <= 0 or eff + skip <= value:
                 continue
-            child = list(rem)
+            child = rem.copy()
             child[winner] -= eff
-            got = eff + best(t + 1, tuple(child))
+            hit = memo.get(key(child))
+            got = eff + (hit[0] if hit is not None else best(t + 1, child))
             if got > value:
                 value, choice = got, (winner, eff)
-        memo[key] = (value, choice)
+        memos[t][keys[t](rem)] = (value, choice)
         return value
 
-    total = _search_root("opt_1paa", m, best, 0, tuple(budgets0))
+    budgets0 = [b for _, b in instance.bidders]
+    total = _search_root("opt_1paa", m, best, 0, budgets0) if m else 0
 
     ids = instance.bidder_ids
     winners: dict[str, str] = {}
     rem = list(budgets0)
     for t in range(m):
-        choice = memo[(t,) + tuple(rem[i] for i in future[t])][1]
+        choice = memos[t][keys[t](rem)][1]
         if choice is not None:
             winner, price = choice
             winners[instance.keywords[t]] = ids[winner]
             rem[winner] -= price
     _check_replay(first_price_value(instance, winners), total)
-    return OptResult(total, winners, SearchStats(nodes, len(memo)))
+    return OptResult(total, winners, SearchStats(nodes, sum(map(len, memos[:m]))))
 
 
 def first_price_value(instance: Instance, winners: Mapping[str, str]) -> int:

@@ -1,8 +1,14 @@
 """Command-line interface: exit codes, file outputs, stdout shapes."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab import Instance, gap_instance, opt_2paa, unit_instance
 from auctionlab.cli import main
@@ -402,3 +408,83 @@ def test_validate_rejects_malformed_documents_in_one_line(tmp_path, capsys, doc,
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 
+
+# ----------------------------------------------------------------------
+# fuzzing: no input file may reach a traceback
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# mostly well-typed fields, so that many documents get past the load boundary
+_ID = st.sampled_from(["u1", "u2", "u3", "a", "b", "c"]) | st.integers(0, 2) | _JSON
+_MONEY = st.integers(-1, 3) | st.integers(-1, 3) | _JSON
+_BIDDER = st.fixed_dictionaries({}, optional={"id": _ID, "budget": _MONEY}) | _JSON
+_BID = st.fixed_dictionaries({}, optional={"keyword": _ID, "bidder": _ID, "amount": _MONEY}) | _JSON
+
+
+def _near_list(items, max_size):
+    return st.lists(items, max_size=max_size) | st.lists(items, max_size=max_size) | _JSON
+
+
+_INSTANCE = st.fixed_dictionaries(
+    {},
+    optional={
+        "keywords": _near_list(_ID, 4),
+        "bidders": _near_list(_BIDDER, 4),
+        "bids": _near_list(_BID, 8),
+        "extra": _JSON,
+    },
+)
+
+
+@st.composite
+def _small_instances(draw):
+    """Well-formed documents, all-ones about half of the time."""
+    keywords = draw(st.lists(st.sampled_from(["u1", "u2", "u3", "u4"]), max_size=4, unique=True))
+    bidders = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=4, unique=True))
+    top = 1 if draw(st.booleans()) else 3
+    budgets = {v: draw(st.integers(1, top)) for v in bidders}
+    bids = [
+        {"keyword": u, "bidder": v, "amount": draw(st.integers(1, budgets[v]))}
+        for u in keywords
+        for v in bidders
+        if draw(st.booleans())
+    ]
+    return {
+        "keywords": keywords,
+        "bidders": [{"id": v, "budget": b} for v, b in budgets.items()],
+        "bids": bids,
+    }
+
+
+FUZZED_COMMANDS = (
+    ["validate"],
+    ["solve", "--algorithm", "reverse-match"],
+    ["solve", "--algorithm", "greedy"],
+    ["solve", "--algorithm", "top-c", "--c", "2"],
+    ["oracle", "--problem", "2pm"],
+    ["oracle", "--problem", "2paa"],
+    ["oracle", "--problem", "1paa"],
+)
+
+
+def _exit_code(argv):
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+# reverse_match and top_c warn about dropped keywords and a low r_min by design
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=150, deadline=None)
+@given(_small_instances() | _INSTANCE | _JSON)
+def test_arbitrary_json_never_escapes_the_cli(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in FUZZED_COMMANDS:
+            assert _exit_code(command + ["--input", str(path)]) in (0, 1, 2), command
