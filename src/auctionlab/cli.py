@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import Mapping, Sequence
 
 from . import formats
@@ -85,7 +86,10 @@ def _load_valid_instance(path: str):
 
 
 def _emit(doc: object, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    _write(json.dumps(doc, indent=2) + "\n", out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fp:
             fp.write(text)
@@ -193,7 +197,11 @@ def _cmd_oracle(args, parser) -> int:
         doc = {"value": res.value, "winners": dict(res.witness)}
     if args.stats:
         stats = res.stats
-        print(f"stats: nodes={stats.nodes} memo_entries={stats.memo_entries}", file=sys.stderr)
+        print(
+            f"stats: nodes={stats.nodes} memo_entries={stats.memo_entries}"
+            f" max_depth={stats.max_depth}",
+            file=sys.stderr,
+        )
     _emit(doc, args.out)
     return 0
 
@@ -234,7 +242,7 @@ def _cmd_generate(args, parser) -> int:
             params["target_r_min"],
             seed=args.seed,
         )
-    _emit(formats.instance_to_doc(instance), args.out)
+    _write(formats.instance_json(instance), args.out)
     return 0
 
 
@@ -291,7 +299,7 @@ def _cmd_reduce(args, parser) -> int:
             vertices, edges = formats.read_edge_list(fp)
         gadget = vc_to_2pm(vertices, edges)
         roles = _vc_roles(gadget)
-    _emit(formats.instance_to_doc(gadget.instance), args.out)
+    _write(formats.instance_json(gadget.instance), args.out)
     _emit(roles, args.out + ".roles.json")
     return 0
 
@@ -342,11 +350,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         "experiment": _cmd_experiment,
         "validate": _cmd_validate,
     }
-    try:
-        return handlers[args.command](args, parser)
-    except (AuctionError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # library warnings (reverse_match and top_c emit UserWarnings) become one
+    # `warning:` line each on stderr instead of Python's source-line format;
+    # "default" shows a repeated message once, as Python itself would
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default", UserWarning)
+        try:
+            return handlers[args.command](args, parser)
+        except (AuctionError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,12 @@
 
 Money is serialized as bit-exact JSON integers; floats are rejected on read.
 Exact rationals are serialized as "p/q" strings.
+
+An instance file has one fixed layout, written by `instance_json` for
+`dump_instance` and for the CLI's `generate` and `reduce`: the JSON that
+`json.dump(instance_to_doc(instance), fp, indent=2)` writes (2-space indent,
+keys `keywords`, `bidders`, `bids` in that order, zero bids left out, ids
+ASCII-escaped), followed by a newline.
 """
 
 from __future__ import annotations
@@ -52,11 +58,8 @@ def _list(doc: Mapping, key: str) -> list:
     return value
 
 
-def _fields(entry: object, names: tuple[str, ...], what: str) -> list:
-    try:
-        return [entry[n] for n in names]  # type: ignore[index]
-    except (KeyError, TypeError):
-        raise ValueError(f"{what} {entry!r} is not an object with {', '.join(names)}") from None
+def _malformed(entry: object, names: tuple[str, ...], what: str) -> ValueError:
+    return ValueError(f"{what} {entry!r} is not an object with {', '.join(names)}")
 
 
 def instance_from_doc(doc: object) -> Instance:
@@ -69,15 +72,21 @@ def instance_from_doc(doc: object) -> Instance:
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"instance document must be an object, got {type(doc).__name__}")
-    keywords = tuple(str(u) for u in _list(doc, "keywords"))
+    keywords = tuple(u if type(u) is str else str(u) for u in _list(doc, "keywords"))
     bidders = []
     for b in _list(doc, "bidders"):
-        v, budget = _fields(b, ("id", "budget"), "bidder")
-        bidders.append((str(v), budget))
+        try:
+            v, budget = b["id"], b["budget"]
+        except (KeyError, TypeError):
+            raise _malformed(b, ("id", "budget"), "bidder") from None
+        bidders.append((v if type(v) is str else str(v), budget))
     bids: dict[tuple[str, str], int] = {}
     for e in _list(doc, "bids") if "bids" in doc else ():
-        u, v, amount = _fields(e, ("keyword", "bidder", "amount"), "bid")
-        key = (str(u), str(v))
+        try:
+            u, v, amount = e["keyword"], e["bidder"], e["amount"]
+        except (KeyError, TypeError):
+            raise _malformed(e, ("keyword", "bidder", "amount"), "bid") from None
+        key = (u if type(u) is str else str(u), v if type(v) is str else str(v))
         if key in bids:
             raise ValueError(f"duplicate bid entry for keyword {key[0]!r}, bidder {key[1]!r}")
         bids[key] = amount
@@ -87,9 +96,53 @@ def instance_from_doc(doc: object) -> Instance:
         raise ValueError(str(exc)) from None
 
 
+# The indent only matters for an id that json writes as a list (a tuple id);
+# instance_json indents such an id's later lines to the depth it sits at.
+_encode = json.JSONEncoder(indent=2).encode
+
+
+def instance_json(instance: Instance) -> str:
+    """The instance document as `json.dump(instance_to_doc(instance), fp,
+    indent=2)` writes it, followed by a newline.
+
+    Every distinct str id and int amount is encoded once.  An id json
+    cannot encode raises TypeError, as json.dump would.
+    """
+    ids: dict[str, str] = {}
+    amounts: dict[int, str] = {}
+
+    def encode(value: object, pad: str) -> str:
+        text = _encode(value)
+        if type(value) is str:
+            ids[value] = text
+        elif type(value) is int:
+            amounts[value] = text
+        return text.replace("\n", pad)
+
+    # Only exact str and int values are memoized, so a lookup by True or 1.0
+    # never meets the text of 1.  Encoded text is never empty.
+    id_text, amount_text = ids.get, amounts.get
+    item, field = "\n    ", "\n      "
+    keywords = [f"{item}{id_text(u) or encode(u, item)}" for u in instance.keywords]
+    bidders = [
+        f'{item}{{{field}"id": {id_text(v) or encode(v, field)},'
+        f'{field}"budget": {amount_text(b) or encode(b, field)}{item}}}'
+        for v, b in instance.bidders
+    ]
+    bids = [
+        f'{item}{{{field}"keyword": {id_text(u) or encode(u, field)},'
+        f'{field}"bidder": {id_text(v) or encode(v, field)},'
+        f'{field}"amount": {amount_text(a) or encode(a, field)}{item}}}'
+        for (u, v), a in instance.bids.items()
+        if a != 0
+    ]
+    lists = ["[" + ",".join(x) + "\n  ]" if x else "[]" for x in (keywords, bidders, bids)]
+    return '{\n  "keywords": %s,\n  "bidders": %s,\n  "bids": %s\n}\n' % tuple(lists)
+
+
 def dump_instance(instance: Instance, fp: IO[str]) -> None:
-    json.dump(instance_to_doc(instance), fp, indent=2)
-    fp.write("\n")
+    """Write `instance_json(instance)`; nothing is written if an id cannot be encoded."""
+    fp.write(instance_json(instance))
 
 
 def load_instance(fp: IO[str]) -> Instance:

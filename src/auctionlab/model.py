@@ -84,10 +84,17 @@ class Instance:
                 for v, b in self.bidders
             ),
         )
-        bids = {
-            (u, v): a if type(a) is int else _money(a, f"bid ({u!r}, {v!r})")
-            for (u, v), a in dict(self.bids).items()
-        }
+        bids = dict(self.bids)
+        # The copy is kept as is when every key is a plain pair and every
+        # amount a plain int.  Otherwise each entry is rebuilt in order, which
+        # turns any 2-item key into a tuple and raises the first bad key's or
+        # amount's error.
+        pairs = not {*map(type, bids)} - {tuple} and not {*map(len, bids)} - {2}
+        if not pairs or {*map(type, bids.values())} - {int}:
+            bids = {
+                (u, v): a if type(a) is int else _money(a, f"bid ({u!r}, {v!r})")
+                for (u, v), a in bids.items()
+            }
         object.__setattr__(self, "bids", bids)
         index = {v: i for i, (v, _) in enumerate(self.bidders)}
         object.__setattr__(self, "_index", index)
@@ -97,7 +104,10 @@ class Instance:
         for (u, v), a in bids.items():
             if a > 0 and u in groups and v in index:
                 groups[u].append((index[v], v, a))
-        rows = {u: {v: a for _, v, a in sorted(row)} for u, row in groups.items()}
+        rows = {}
+        for u, row in groups.items():
+            row.sort()
+            rows[u] = {v: a for _, v, a in row}
         object.__setattr__(self, "_rows", rows)
 
     # ------------------------------------------------------------------

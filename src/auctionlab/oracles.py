@@ -63,10 +63,14 @@ class SearchStats:
 
     `nodes` counts expanded states; it is the smallest node_limit under which
     the search finishes.  `memo_entries` counts the states stored for replay.
+    `max_depth` is the deepest search depth expanded, the first keyword
+    being depth 1: m for a full search, fewer when opt_2paa stops before
+    trailing keywords that cannot pay.
     """
 
     nodes: int
     memo_entries: int
+    max_depth: int
 
 
 @dataclass(frozen=True)
@@ -194,6 +198,15 @@ def _search_root(name: str, m: int, best: Callable[..., int], *root) -> int:
         raise TooLarge(f"{name} needs search depth {m}, beyond the recursion limit") from None
 
 
+def _search_stats(nodes: int, memos: Sequence[dict]) -> SearchStats:
+    """Stats read off the searched depths' memo tables after the search.
+
+    Every expanded state is stored, and reaching depth t expands a state at
+    every depth before it, so the non-empty tables are a prefix.
+    """
+    return SearchStats(nodes, sum(map(len, memos)), sum(1 for memo in memos if memo))
+
+
 def _check_replay(value: int, total: int) -> None:
     if value != total:
         raise InfeasibleTrace(f"witness replays to {value}, search found {total}")
@@ -265,7 +278,7 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
             consumed |= choice
     trace = execute(instance, actions)
     _check_replay(trace.value, total)
-    return OptResult(total, trace, SearchStats(nodes, sum(map(len, memos[:m]))))
+    return OptResult(total, trace, _search_stats(nodes, memos[:m]))
 
 
 def second_bid_upper_bound(instance: Instance) -> int:
@@ -358,7 +371,7 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
     actions.extend([SKIP] * (m - depth))
     trace = execute(instance, actions)
     _check_replay(trace.value, total)
-    return OptResult(total, trace, SearchStats(nodes, sum(map(len, memos[:depth]))))
+    return OptResult(total, trace, _search_stats(nodes, memos[:depth]))
 
 
 def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResult:
@@ -414,7 +427,7 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
             winners[instance.keywords[t]] = ids[winner]
             rem[winner] -= price
     _check_replay(first_price_value(instance, winners), total)
-    return OptResult(total, winners, SearchStats(nodes, sum(map(len, memos[:m]))))
+    return OptResult(total, winners, _search_stats(nodes, memos[:m]))
 
 
 def first_price_value(instance: Instance, winners: Mapping[str, str]) -> int:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,9 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab import Instance, gap_instance, opt_2paa, unit_instance
+from auctionlab import (
+    Instance,
+    gap_instance,
+    opt_2paa,
+    partition_to_2paa,
+    random_2paa,
+    reverse_match,
+    top_c,
+    unit_instance,
+)
 from auctionlab.cli import main
-from auctionlab.formats import dump_instance, instance_from_doc
+from auctionlab.formats import dump_instance, instance_from_doc, instance_to_doc, trace_to_doc
 
 
 @pytest.fixture
@@ -109,6 +119,44 @@ def test_solve_missing_input_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+THIN = {
+    "keywords": ["u1", "u2"],
+    "bidders": [{"id": "a", "budget": 1}, {"id": "b", "budget": 1}],
+    "bids": [
+        {"keyword": "u1", "bidder": "a", "amount": 1},
+        {"keyword": "u2", "bidder": "a", "amount": 1},
+        {"keyword": "u2", "bidder": "b", "amount": 1},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, run, message",
+    [
+        (
+            ["--algorithm", "reverse-match"],
+            reverse_match,
+            "dropping 1 keyword(s) with fewer than two bidders",
+        ),
+        (
+            ["--algorithm", "top-c", "--c", "2"],
+            lambda inst: top_c(inst, 2),
+            "r_min below 2: the no-truncation guarantee does not apply",
+        ),
+    ],
+    ids=["reverse-match", "top-c"],
+)
+def test_solve_prints_a_library_warning_as_one_line(tmp_path, capsys, argv, run, message):
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(THIN))
+    assert main(["solve", *argv, "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {message}\n"
+    with pytest.warns(UserWarning, match=re.escape(message)):
+        trace = run(instance_from_doc(THIN))
+    assert captured.out == json.dumps(trace_to_doc(trace), indent=2) + "\n"
+
+
 # ----------------------------------------------------------------------
 # oracle
 
@@ -160,6 +208,7 @@ def test_oracle_stats_go_to_stderr_only(unit_file, capsys):
     assert captured.out == plain.out
     assert plain.err == ""
     assert captured.err.startswith("stats: nodes=") and captured.err.count("\n") == 1
+    assert captured.err.endswith(" max_depth=3\n")
 
 
 DUPLICATE_KEYWORD = {
@@ -198,6 +247,26 @@ def test_generate_gap_writes_instance(tmp_path):
     assert code == 0
     inst = instance_from_doc(json.loads(out.read_text()))
     assert inst == gap_instance(2, 3)
+
+
+def reference_text(instance):
+    return json.dumps(instance_to_doc(instance), indent=2) + "\n"
+
+
+def test_generate_and_reduce_files_are_the_reference_rendering(tmp_path, capsys):
+    out = tmp_path / "paa.json"
+    argv = ["generate", "--family", "random-2paa", "--seed", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    expected = reference_text(random_2paa(8, 5, 9, 1, seed=3))
+    assert out.read_bytes() == expected.encode("ascii")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+    gadget = tmp_path / "gadget.json"
+    argv = ["reduce", "--from", "partition", "--weights", "3,1,2,2", "--c", "1"]
+    assert main([*argv, "--out", str(gadget)]) == 0
+    expected = reference_text(partition_to_2paa([3, 1, 2, 2], 1).instance)
+    assert gadget.read_bytes() == expected.encode("ascii")
 
 
 def test_generate_randomized_families_require_seed(capsys):
@@ -478,8 +547,6 @@ def _exit_code(argv):
         return exc.code
 
 
-# reverse_match and top_c warn about dropped keywords and a low r_min by design
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=150, deadline=None)
 @given(_small_instances() | _INSTANCE | _JSON)
 def test_arbitrary_json_never_escapes_the_cli(doc):

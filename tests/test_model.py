@@ -1,6 +1,7 @@
 """Exact auction semantics: effective bids, settlement, validation, r_min."""
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,67 @@ def test_instance_rows_and_r_min_match_references(parts):
     else:
         got = r_min(inst)
         assert type(got) is Fraction and got == expected
+
+
+def copied_bids(raw):
+    """The bid map as first built: every entry rebuilt in order under a
+    (keyword, bidder) tuple key, with the money check per amount."""
+    bids = {}
+    for (u, v), a in dict(raw).items():
+        if isinstance(a, bool) or not isinstance(a, int):
+            raise TypeError(f"bid ({u!r}, {v!r}) must be an int, got {a!r}")
+        bids[(u, v)] = a
+    return bids
+
+
+Pair = namedtuple("Pair", "keyword bidder")
+
+# keys that are not plain pairs: a 2-char string and a namedtuple unpack
+# into a pair, the others fail to unpack
+_ODD_KEYS = st.sampled_from(["uv", "bad", ("u",), ("u", "v0", "x"), Pair("u1", "v1"), 7])
+_ODD_AMOUNTS = st.sampled_from([True, 2.0, 2.5]) | st.integers(-1, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.tuples(_KEYWORDS, _BIDDERS) | _ODD_KEYS, _ODD_AMOUNTS | st.integers(-1, 3)),
+        max_size=6,
+    )
+)
+def test_instance_bids_and_errors_match_the_copied_reference(entries):
+    raw = dict(entries)
+    keywords, bidders = ("u", "u0", "u1", "u2"), (("v", 5), ("v0", 5), ("v1", 5))
+    try:
+        expected = copied_bids(raw)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            Instance(keywords, bidders, raw)
+        assert str(got.value) == str(exc)
+        return
+    inst = Instance(keywords, bidders, raw)
+    assert list(inst.bids.items()) == list(expected.items())
+    assert all(type(key) is tuple for key in inst.bids)
+    rows = sorted_rows(inst)
+    for u in inst.keywords:
+        assert list(inst.positive_bids(u).items()) == list(rows[u].items())
+
+
+@pytest.mark.parametrize(
+    "bids, error",
+    [
+        ({"bad": 1, ("u", "A"): True}, ValueError),
+        ({("u", "A"): 2.0, "bad": 1}, TypeError),
+        ({("u",): 1, ("u", "A"): 2.5}, ValueError),
+        ({("u", "A"): False, 7: 1}, TypeError),
+    ],
+)
+def test_first_bad_bid_entry_names_the_error(bids, error):
+    with pytest.raises(error) as expected:
+        copied_bids(bids)
+    with pytest.raises(error) as got:
+        Instance(("u",), (("A", 3),), bids)
+    assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, 2.5])

@@ -443,8 +443,28 @@ def test_stats_nodes_is_the_smallest_node_limit_that_finishes(oracle, make):
         oracle(inst, node_limit=result.stats.nodes - 1)
 
 
+@pytest.mark.parametrize("oracle, make", NODE_INSTANCES, ids=["opt_2pm", "opt_2paa", "opt_1paa"])
+def test_stats_max_depth_covers_every_keyword_of_the_node_instances(oracle, make):
+    inst = make()
+    assert oracle(inst).stats.max_depth == inst.m
+
+
+def test_opt_2paa_max_depth_stops_before_keywords_that_cannot_pay():
+    base = random_2paa(6, 4, 9, 1, seed=2)
+    first = base.bidder_ids[0]
+    # two trailing keywords with at most one positive bidder charge no price
+    inst = Instance(
+        base.keywords + ("t1", "t2"), base.bidders, {**base.bids, ("t1", first): 1}
+    )
+    result = opt_2paa(inst)
+    assert result.stats.max_depth == base.m < inst.m
+    assert result.value == opt_2paa(base).value
+    assert opt_2pm(_deep_unit(3)).stats.max_depth == 3
+    assert opt_1paa(Instance((), (("A", 1),), {})).stats.max_depth == 0
+
+
 def test_stats_do_not_take_part_in_equality():
-    assert OptResult(1, None, SearchStats(5, 5)) == OptResult(1, None, SearchStats(9, 7))
+    assert OptResult(1, None, SearchStats(5, 5, 2)) == OptResult(1, None, SearchStats(9, 7, 3))
 
 
 # ----------------------------------------------------------------------
