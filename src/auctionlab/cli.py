@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 import warnings
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import formats
 from .errors import AuctionError, InvalidParams
@@ -18,18 +18,12 @@ from .generators import (
     random_2paa,
     sample_chain,
 )
-from .harness import SUITES, format_report, report_to_doc, run_experiment
+from .harness import SUITES, _BATTERY, _merge_params, format_report, report_to_doc, run_experiment
 from .model import validate
 from .offline import reverse_match, top_c
-from .online import greedy_2pm, first_available, ranking_1p, ranking_simulate, left_k_copy, run_online, skip_all
+from .online import greedy_2pm, ranking_1p, ranking_simulate, left_k_copy, run_online
 from .oracles import DEFAULT_NODE_LIMIT, Matching, opt_1paa, opt_2paa, opt_2pm
 from .reductions import partition_to_2paa, vc_to_2pm
-
-_POLICIES = {
-    "greedy": greedy_2pm,
-    "skip-all": skip_all,
-    "first-available": first_available,
-}
 
 _FAMILY_PARAMS = {
     "gap": {"c": 1, "k": 5},
@@ -60,15 +54,6 @@ def _parse_params(text: str | None) -> dict[str, str]:
             raise ValueError(f"bad parameter {chunk!r}, expected key=value")
         out[key.strip()] = value.strip()
     return out
-
-
-def _coerce(defaults: Mapping[str, object], given: Mapping[str, str], where: str) -> dict:
-    merged = dict(defaults)
-    for key, raw in given.items():
-        if key not in merged:
-            raise ValueError(f"{where} has no parameter {key!r}")
-        merged[key] = raw if isinstance(merged[key], str) else type(merged[key])(raw)
-    return merged
 
 
 def _load_instance(path: str):
@@ -211,16 +196,17 @@ def _cmd_generate(args, parser) -> int:
     if family in _RANDOMIZED_FAMILIES and args.seed is None:
         parser.error(f"--seed is required for family {family}")
     try:
-        params = _coerce(_FAMILY_PARAMS[family], _parse_params(args.params), f"family {family}")
-    except ValueError as exc:
+        given = _parse_params(args.params)
+        params = _merge_params(f"family {family}", _FAMILY_PARAMS[family], given)
+    except (ValueError, InvalidParams) as exc:
         parser.error(str(exc))
     if family == "gap":
         instance = gap_instance(params["c"], params["k"])
     elif family == "adversary":
-        name = params["policy"]
-        if name not in _POLICIES:
-            parser.error(f"unknown policy {name!r}; choose from {', '.join(sorted(_POLICIES))}")
-        instance = adversary_vs_policy(_POLICIES[name](), params["m"]).instance
+        policies, name = dict(_BATTERY), params["policy"]
+        if name not in policies:
+            parser.error(f"unknown policy {name!r}; choose from {', '.join(sorted(policies))}")
+        instance = adversary_vs_policy(policies[name](), params["m"]).instance
     elif family == "chain":
         try:
             variant = ChainVariant(params["variant"])

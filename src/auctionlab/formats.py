@@ -66,27 +66,35 @@ def instance_from_doc(doc: object) -> Instance:
     """Build an Instance from a parsed JSON document.
 
     This is the load boundary: a document that is not an object, lacks
-    `keywords` or `bidders`, has a malformed bidder or bid entry, or lists
-    a (keyword, bidder) pair twice raises ValueError.  Semantic problems
-    such as a bid above its budget are left to `model.validate`.
+    `keywords` or `bidders`, has a malformed bidder or bid entry, has an id
+    that is not a string, or lists a (keyword, bidder) pair twice raises
+    ValueError.  Semantic problems such as a bid above its budget are left
+    to `model.validate`.
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"instance document must be an object, got {type(doc).__name__}")
-    keywords = tuple(u if type(u) is str else str(u) for u in _list(doc, "keywords"))
+    keywords = tuple(_list(doc, "keywords"))
+    for u in keywords:
+        if not isinstance(u, str):
+            raise ValueError(f"keyword {u!r} is not a string")
     bidders = []
     for b in _list(doc, "bidders"):
         try:
             v, budget = b["id"], b["budget"]
         except (KeyError, TypeError):
             raise _malformed(b, ("id", "budget"), "bidder") from None
-        bidders.append((v if type(v) is str else str(v), budget))
+        if not isinstance(v, str):
+            raise ValueError(f"bidder {b!r} has a non-string id")
+        bidders.append((v, budget))
     bids: dict[tuple[str, str], int] = {}
     for e in _list(doc, "bids") if "bids" in doc else ():
         try:
             u, v, amount = e["keyword"], e["bidder"], e["amount"]
         except (KeyError, TypeError):
             raise _malformed(e, ("keyword", "bidder", "amount"), "bid") from None
-        key = (u if type(u) is str else str(u), v if type(v) is str else str(v))
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise ValueError(f"bid {e!r} has a non-string keyword or bidder")
+        key = (u, v)
         if key in bids:
             raise ValueError(f"duplicate bid entry for keyword {key[0]!r}, bidder {key[1]!r}")
         bids[key] = amount

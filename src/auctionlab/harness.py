@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyStream, InvalidParams, TooLarge, UnknownSuite
 from .generators import (
@@ -32,43 +32,6 @@ from .online import (
 )
 from .oracles import max_matching, opt_1paa, opt_2pm
 from .reductions import normalize_first_price, random_construction, to_first_price_bids
-
-SUITES = (
-    "ranking-kcopy",
-    "ranking-simulate",
-    "greedy-chain",
-    "reverse-match",
-    "random-construction",
-    "adversary",
-    "top-c",
-)
-
-# verdict rule per suite: lower = mean >= bound - 3 SE, target = |mean - target|
-# <= 3 SE, exact = zero per-trial violations
-_RULES = {
-    "ranking-kcopy": "lower",
-    "ranking-simulate": "lower",
-    "greedy-chain": "target",
-    "reverse-match": "exact",
-    "random-construction": "lower",
-    "adversary": "exact",
-    "top-c": "exact",
-}
-
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "ranking-kcopy": {"n": 6, "k": 2, "extra_edge_prob": 0.3},
-    "ranking-simulate": {"n": 8, "extra_edge_prob": 0.3},
-    "greedy-chain": {"m": 9},
-    "reverse-match": {"num_keywords": 8, "num_bidders": 8, "edge_probability": 0.3},
-    "random-construction": {
-        "num_keywords": 5,
-        "num_bidders": 5,
-        "max_bid": 9,
-        "instance_seed": 0,
-    },
-    "adversary": {"m_max": 6},
-    "top-c": {"c": 2, "num_keywords": 8, "num_bidders": 5, "max_bid": 9},
-}
 
 _PARALLEL_THRESHOLD = 512
 
@@ -129,13 +92,63 @@ def _descriptor_int(descriptor: str, key: str) -> int:
     raise InvalidParams(f"descriptor {descriptor!r} lacks {key}=")
 
 
-def _merge_params(suite: str, params: Mapping[str, object] | None) -> dict:
-    merged = dict(_DEFAULTS[suite])
-    for key, raw in (params or {}).items():
+def _merge_params(where: str, defaults: Mapping, given: Mapping | None) -> dict:
+    """`defaults` overridden by `given`, each value converted to its default's
+    type.  A string is parsed (int("2.7") raises ValueError); otherwise an int
+    parameter takes only an int and a float one an int or a float, never a
+    bool; anything else raises InvalidParams naming `where`, key and value."""
+    merged = dict(defaults)
+    for key, raw in (given or {}).items():
         if key not in merged:
-            raise InvalidParams(f"suite {suite!r} has no parameter {key!r}")
-        merged[key] = type(merged[key])(raw)
+            raise InvalidParams(f"{where} has no parameter {key!r}")
+        kind = type(merged[key])
+        allowed = (str,) if kind is str else (str, int, kind)
+        if isinstance(raw, bool) or not isinstance(raw, allowed):
+            raise InvalidParams(f"{where} parameter {key!r} must be {kind.__name__}, got {raw!r}")
+        merged[key] = kind(raw)
     return merged
+
+
+# Trials map (params, index, seed) to (descriptor, value, reference), or None
+# when skipped.  They reach the library through this module's globals, so
+# rebinding a name here (a tracer, a test) sees every call.
+
+
+def _kcopy_trial(params: dict, index: int, seed: int):
+    n, k = params["n"], params["k"]
+    graph = perfect_matchable_2pm(n, params["extra_edge_prob"], seed=seed)
+    matched = run_online(left_k_copy(graph, k).instance, ranking_1p(), seed=seed)
+    return f"kcopy n={n} k={k}", matched.size, ranking_sum_bound(n, k)
+
+
+def _simulate_trial(params: dict, index: int, seed: int):
+    n = params["n"]
+    graph = perfect_matchable_2pm(n, params["extra_edge_prob"], seed=seed)
+    trace = run_online(graph, ranking_simulate(), seed=seed)
+    return f"pm n={n}", trace.value, ranking_sum_bound(n, 2) / 4
+
+
+def _chain_trial(params: dict, index: int, seed: int):
+    m = params["m"]
+    sample = sample_chain(m, ChainVariant.NORMAL, seed=seed)
+    trace = run_online(sample.instance, greedy_2pm(), seed=seed)
+    return f"chain m={m}", trace.value, Fraction(m + 1, 2)
+
+
+def _reverse_match_trial(params: dict, index: int, seed: int):
+    nk, nb = params["num_keywords"], params["num_bidders"]
+    inst = random_2pm(nk, nb, params["edge_probability"], seed=seed)
+    value = reverse_match(inst).value
+    try:
+        opt = opt_2pm(inst).value
+    except TooLarge:
+        return None
+    return f"2pm {nk}x{nb} mf={max_matching(inst).size}", value, opt
+
+
+def _reverse_match_violates(record: TrialRecord) -> bool:
+    mf = _descriptor_int(record.instance, "mf")
+    return 2 * record.value < record.reference or record.value < (mf + 1) // 2
 
 
 @lru_cache(maxsize=None)
@@ -148,108 +161,98 @@ def _construction_setup(num_keywords: int, num_bidders: int, max_bid: int, insta
     return instance, alloc, Fraction(best.value, 8)
 
 
-def _trial(suite: str, params: dict, index: int, base_seed: int) -> TrialRecord | None:
-    seed = base_seed ^ index
-    if suite == "ranking-kcopy":
-        n, k = params["n"], params["k"]
-        graph = perfect_matchable_2pm(n, params["extra_edge_prob"], seed=seed)
-        copied = left_k_copy(graph, k)
-        matched = run_online(copied.instance, ranking_1p(), seed=seed)
-        return make_record(
-            suite, index, seed, f"kcopy n={n} k={k}", matched.size, ranking_sum_bound(n, k)
-        )
-    if suite == "ranking-simulate":
-        n = params["n"]
-        graph = perfect_matchable_2pm(n, params["extra_edge_prob"], seed=seed)
-        trace = run_online(graph, ranking_simulate(), seed=seed)
-        return make_record(
-            suite, index, seed, f"pm n={n}", trace.value, ranking_sum_bound(n, 2) / 4
-        )
-    if suite == "greedy-chain":
-        m = params["m"]
-        sample = sample_chain(m, ChainVariant.NORMAL, seed=seed)
-        trace = run_online(sample.instance, greedy_2pm(), seed=seed)
-        return make_record(suite, index, seed, f"chain m={m}", trace.value, Fraction(m + 1, 2))
-    if suite == "reverse-match":
-        nk, nb = params["num_keywords"], params["num_bidders"]
-        inst = random_2pm(nk, nb, params["edge_probability"], seed=seed)
-        trace = reverse_match(inst)
-        try:
-            opt = opt_2pm(inst).value
-        except TooLarge:
-            return None
-        mf = max_matching(inst).size
-        return make_record(suite, index, seed, f"2pm {nk}x{nb} mf={mf}", trace.value, opt)
-    if suite == "random-construction":
-        instance, alloc, target = _construction_setup(
-            params["num_keywords"],
-            params["num_bidders"],
-            params["max_bid"],
-            params["instance_seed"],
-        )
-        trace = random_construction(instance, alloc, seed=seed)
-        descriptor = f"rc iseed={params['instance_seed']}"
-        return make_record(suite, index, seed, descriptor, trace.value, target)
-    if suite == "top-c":
-        c = params["c"]
-        nk, nb = params["num_keywords"], params["num_bidders"]
-        inst = random_2paa(nk, nb, params["max_bid"], c, seed=seed)
-        trace = top_c(inst, c)
-        return make_record(
-            suite, index, seed, f"2paa {nk}x{nb} c={c}", trace.value, top_c_bound(inst, c)
-        )
-    raise UnknownSuite(suite)
+def _construction_trial(params: dict, index: int, seed: int):
+    instance, alloc, target = _construction_setup(**params)
+    trace = random_construction(instance, alloc, seed=seed)
+    return f"rc iseed={params['instance_seed']}", trace.value, target
 
 
-def _trial_slice(args: tuple) -> list[tuple[int, TrialRecord | None]]:
-    suite, items, base_seed, start, stop = args
-    params = dict(items)
-    return [(i, _trial(suite, params, i, base_seed)) for i in range(start, stop)]
+_BATTERY = (("greedy", greedy_2pm), ("skip-all", skip_all), ("first-available", first_available))
 
 
-_BATTERY = (
-    ("greedy", greedy_2pm),
-    ("skip-all", skip_all),
-    ("first-available", first_available),
-)
-
-
-def _adversary_records(params: dict, base_seed: int) -> list[TrialRecord]:
-    """One record per (policy, m) pair; the trial count is fixed by m_max."""
+def _adversary_trials(params: dict) -> int:
+    """One trial per (policy, m) pair for m = 1..m_max."""
     m_max = params["m_max"]
     if m_max < 1:
         raise InvalidParams(f"m_max must be >= 1, got {m_max}")
+    return len(_BATTERY) * m_max
+
+
+def _adversary_trial(params: dict, index: int, seed: int):
+    name, factory = _BATTERY[index // params["m_max"]]
+    m = index % params["m_max"] + 1
+    transcript = adversary_vs_policy(factory(), m)
+    opt = opt_2pm(transcript.instance).value
+    return f"adversary policy={name} m={m}", transcript.policy_value, opt
+
+
+def _adversary_violates(record: TrialRecord) -> bool:
+    return record.value > 1 or record.reference != _descriptor_int(record.instance, "m")
+
+
+def _top_c_trial(params: dict, index: int, seed: int):
+    c, nk, nb = params["c"], params["num_keywords"], params["num_bidders"]
+    inst = random_2paa(nk, nb, params["max_bid"], c, seed=seed)
+    return f"2paa {nk}x{nb} c={c}", top_c(inst, c).value, top_c_bound(inst, c)
+
+
+def _top_c_violates(record: TrialRecord) -> bool:
+    return Fraction(record.value) < record.reference
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """One suite.  kind is "lower" (mean >= bound - 3 SE), "target" (|mean -
+    bound| <= 3 SE) or "exact" (no record fails `violates`).  `trials`, when
+    set, takes the trial count from the merged params instead of the caller."""
+
+    kind: str
+    defaults: Mapping[str, object]
+    trial: Callable[[dict, int, int], tuple | None]
+    violates: Callable[[TrialRecord], bool] | None = None
+    trials: Callable[[dict], int] | None = None
+
+
+_SUITES = {
+    "ranking-kcopy": _Suite("lower", {"n": 6, "k": 2, "extra_edge_prob": 0.3}, _kcopy_trial),
+    "ranking-simulate": _Suite("lower", {"n": 8, "extra_edge_prob": 0.3}, _simulate_trial),
+    "greedy-chain": _Suite("target", {"m": 9}, _chain_trial),
+    "reverse-match": _Suite(
+        "exact", {"num_keywords": 8, "num_bidders": 8, "edge_probability": 0.3},
+        _reverse_match_trial, _reverse_match_violates,
+    ),
+    "random-construction": _Suite(
+        "lower", {"num_keywords": 5, "num_bidders": 5, "max_bid": 9, "instance_seed": 0},
+        _construction_trial,
+    ),
+    "adversary": _Suite(
+        "exact", {"m_max": 6}, _adversary_trial, _adversary_violates, _adversary_trials
+    ),
+    "top-c": _Suite(
+        "exact", {"c": 2, "num_keywords": 8, "num_bidders": 5, "max_bid": 9},
+        _top_c_trial, _top_c_violates,
+    ),
+}
+
+SUITES = tuple(_SUITES)
+
+
+def _run_trials(args: tuple) -> list[TrialRecord | None]:
+    """Trials start..stop-1 of one run, in order; also a pool job."""
+    suite, params, base_seed, start, stop = args
+    trial = _SUITES[suite].trial
     records = []
-    index = 0
-    for name, factory in _BATTERY:
-        for m in range(1, m_max + 1):
-            transcript = adversary_vs_policy(factory(), m)
-            opt = opt_2pm(transcript.instance).value
-            records.append(
-                make_record(
-                    "adversary",
-                    index,
-                    base_seed ^ index,
-                    f"adversary policy={name} m={m}",
-                    transcript.policy_value,
-                    opt,
-                )
-            )
-            index += 1
+    for index in range(start, stop):
+        seed = base_seed ^ index
+        outcome = trial(params, index, seed)
+        records.append(None if outcome is None else make_record(suite, index, seed, *outcome))
     return records
 
 
 def violates(record: TrialRecord) -> bool:
-    """Per-trial hard check for the exact-verdict suites."""
-    if record.suite == "reverse-match":
-        mf = _descriptor_int(record.instance, "mf")
-        return 2 * record.value < record.reference or record.value < (mf + 1) // 2
-    if record.suite == "adversary":
-        m = _descriptor_int(record.instance, "m")
-        return record.value > 1 or record.reference != m
-    if record.suite == "top-c":
-        return Fraction(record.value) < record.reference
-    return False
+    """Per-trial hard check of the exact-verdict suites; False for the others."""
+    spec = _SUITES.get(record.suite)
+    return spec is not None and spec.violates is not None and spec.violates(record)
 
 
 def summarize(
@@ -262,9 +265,9 @@ def summarize(
     suite = records[0].suite
     if any(r.suite != suite for r in records):
         raise InvalidParams("records mix suites")
-    kind = _RULES.get(suite)
-    if kind is None:
+    if suite not in _SUITES:
         raise UnknownSuite(suite)
+    kind = _SUITES[suite].kind
 
     n = len(records)
     mean = Fraction(sum(r.value for r in records), n)
@@ -307,38 +310,32 @@ def run_experiment(
 ) -> tuple[ExperimentReport, list[TrialRecord]]:
     """Run a suite; deterministic for fixed (suite, params, trials, seed).
 
-    Trial i draws everything from seed XOR i, so scheduling and worker
-    count never change the records.  The adversary suite enumerates its
-    policy battery instead of sampling and ignores `trials`.
+    `params` override the suite's defaults (see `_merge_params`).  Trial i
+    draws everything from seed XOR i, so scheduling and worker count never
+    change the records.  The adversary suite plays each policy of its battery
+    for m = 1..m_max arrivals, so it runs 3 * m_max trials and ignores `trials`.
     """
-    if suite not in SUITES:
+    spec = _SUITES.get(suite)
+    if spec is None:
         raise UnknownSuite(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
-    merged = _merge_params(suite, params)
+    merged = _merge_params(f"suite {suite!r}", spec.defaults, params)
     started = time.perf_counter()
-
-    if suite == "adversary":
-        records = _adversary_records(merged, seed)
-        return summarize(records, elapsed=time.perf_counter() - started), records
-
-    if trials < 1:
+    if spec.trials is not None:
+        trials = spec.trials(merged)
+    elif trials < 1:
         raise InvalidParams(f"trials must be >= 1, got {trials}")
     cap = worker_cap()
     if trials >= _PARALLEL_THRESHOLD and cap > 1:
-        items = tuple(sorted(merged.items()))
-        chunk = max(1, -(-trials // (cap * 4)))
+        chunk = -(-trials // (cap * 4))
         jobs = [
-            (suite, items, seed, start, min(start + chunk, trials))
+            (suite, merged, seed, start, min(start + chunk, trials))
             for start in range(0, trials, chunk)
         ]
-        outcomes: list[tuple[int, TrialRecord | None]] = []
         with ProcessPoolExecutor(max_workers=cap) as pool:
-            for part in pool.map(_trial_slice, jobs):
-                outcomes.extend(part)
+            parts = list(pool.map(_run_trials, jobs))
     else:
-        outcomes = [(i, _trial(suite, merged, i, seed)) for i in range(trials)]
-
-    outcomes.sort(key=lambda pair: pair[0])
-    records = [rec for _, rec in outcomes if rec is not None]
+        parts = [_run_trials((suite, merged, seed, 0, trials))]
+    records = [record for part in parts for record in part if record is not None]
     skipped = trials - len(records)
     report = summarize(records, skipped=skipped, elapsed=time.perf_counter() - started)
     return report, records

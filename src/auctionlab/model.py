@@ -10,6 +10,7 @@ money is exact integer arithmetic; Python ints make overflow impossible.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -87,14 +88,20 @@ class Instance:
         bids = dict(self.bids)
         # The copy is kept as is when every key is a plain pair and every
         # amount a plain int.  Otherwise each entry is rebuilt in order, which
-        # turns any 2-item key into a tuple and raises the first bad key's or
-        # amount's error.
+        # stores a tuple subclass key (a namedtuple) as a plain tuple and
+        # raises the first bad key's or amount's error.  Only a 2-item tuple
+        # is a key: a 2-char string or a 2-item set would unpack into a pair
+        # nobody wrote down.
         pairs = not {*map(type, bids)} - {tuple} and not {*map(len, bids)} - {2}
         if not pairs or {*map(type, bids.values())} - {int}:
-            bids = {
-                (u, v): a if type(a) is int else _money(a, f"bid ({u!r}, {v!r})")
-                for (u, v), a in bids.items()
-            }
+            checked = {}
+            for key, a in bids.items():
+                if not isinstance(key, tuple) or len(key) != 2:
+                    error = ValueError if isinstance(key, Iterable) else TypeError
+                    raise error(f"bid key {key!r} is not a (keyword, bidder) tuple")
+                u, v = key
+                checked[u, v] = a if type(a) is int else _money(a, f"bid ({u!r}, {v!r})")
+            bids = checked
         object.__setattr__(self, "bids", bids)
         index = {v: i for i, (v, _) in enumerate(self.bidders)}
         object.__setattr__(self, "_index", index)

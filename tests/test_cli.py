@@ -464,8 +464,10 @@ DUPLICATE_BID = {
         ({}, "lacks 'keywords'"),
         ([], "must be an object"),
         (DUPLICATE_BID, "duplicate bid entry"),
+        ({"keywords": [1, "1"], "bidders": []}, "keyword 1 is not a string"),
+        ({"keywords": [], "bidders": [{"id": True, "budget": 1}]}, "has a non-string id"),
     ],
-    ids=["empty-object", "list", "duplicate-bid"],
+    ids=["empty-object", "list", "duplicate-bid", "int-keyword", "bool-bidder-id"],
 )
 def test_validate_rejects_malformed_documents_in_one_line(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"

@@ -249,7 +249,7 @@ def _fields(entry, names, what):
 
 
 def reference_from_doc(doc):
-    """instance_from_doc as first written: each entry through _fields, every id through str()."""
+    """instance_from_doc the slow way: each entry through _fields, then its ids checked to be str."""
     if not isinstance(doc, Mapping):
         raise ValueError(f"instance document must be an object, got {type(doc).__name__}")
 
@@ -261,15 +261,22 @@ def reference_from_doc(doc):
             raise ValueError(f"instance {key!r} must be a list, got {type(value).__name__}")
         return value
 
-    keywords = tuple(str(u) for u in listed("keywords"))
+    keywords = tuple(listed("keywords"))
+    for u in keywords:
+        if not isinstance(u, str):
+            raise ValueError(f"keyword {u!r} is not a string")
     bidders = []
     for b in listed("bidders"):
         v, budget = _fields(b, ("id", "budget"), "bidder")
-        bidders.append((str(v), budget))
+        if not isinstance(v, str):
+            raise ValueError(f"bidder {b!r} has a non-string id")
+        bidders.append((v, budget))
     bids = {}
     for e in listed("bids") if "bids" in doc else ():
         u, v, amount = _fields(e, ("keyword", "bidder", "amount"), "bid")
-        key = (str(u), str(v))
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise ValueError(f"bid {e!r} has a non-string keyword or bidder")
+        key = (u, v)
         if key in bids:
             raise ValueError(f"duplicate bid entry for keyword {key[0]!r}, bidder {key[1]!r}")
         bids[key] = amount
@@ -279,7 +286,8 @@ def reference_from_doc(doc):
         raise ValueError(str(exc)) from None
 
 
-_DOC_IDS = st.sampled_from(["u", "v", "A", "B", "1", 'q"']) | st.integers(0, 2) | st.none() | st.booleans()
+_STR_IDS = st.sampled_from(["u", "v", "A", "B", "1", 'q"'])
+_ANY_IDS = _STR_IDS | st.integers(0, 2) | st.none() | st.booleans()
 _DOC_MONEY = st.integers(-1, 3) | st.booleans() | st.sampled_from([1.0, 2.5, None, "3", [1]])
 _JUNK = st.integers(0, 3) | st.text("ab", max_size=2) | st.lists(st.integers(0, 2), max_size=3) | st.none()
 
@@ -294,16 +302,17 @@ def _entries(fields, noisy):
 
 @st.composite
 def instance_docs(draw):
-    """Documents near the instance shape: duplicates (also after str()) and
-    non-str ids in every document; in noisy ones also malformed entries,
+    """Documents near the instance shape: duplicates in every document, non-str
+    ids (1 beside "1") in half of them; in noisy ones also malformed entries,
     non-int money and missing parts."""
     noisy = draw(st.booleans())
+    ids = draw(st.sampled_from([_STR_IDS, _ANY_IDS]))
     money = _DOC_MONEY if noisy else st.integers(-1, 3)
-    bid = {"keyword": _DOC_IDS, "bidder": _DOC_IDS, "amount": money}
-    keywords = st.lists(_DOC_IDS, max_size=4)
+    bid = {"keyword": ids, "bidder": ids, "amount": money}
+    keywords = st.lists(ids, max_size=4)
     doc = {
         "keywords": draw(keywords | _JUNK if noisy else keywords),
-        "bidders": draw(_entries({"id": _DOC_IDS, "budget": money}, noisy)),
+        "bidders": draw(_entries({"id": ids, "budget": money}, noisy)),
         "bids": draw(_entries(bid, noisy)),
     }
     if noisy:

@@ -1,10 +1,13 @@
 """Experiment suites: reproducibility, verdict rules, record persistence."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from auctionlab import (
 )
 from auctionlab.formats import parse_frac, records_to_csv
 from auctionlab.harness import (
+    _SUITES,
     SUITES,
     TrialRecord,
     format_report,
@@ -158,6 +162,19 @@ def test_run_experiment_validates_inputs():
         run_experiment("greedy-chain", trials=0, seed=0)
     with pytest.raises(InvalidParams):
         run_experiment("greedy-chain", params={"height": 3}, trials=5, seed=0)
+    # no silent truncation: an int parameter takes only an int, a float one
+    # an int or a float, and neither takes a bool
+    for suite, key, value, kind in (
+        ("greedy-chain", "m", 2.7, "int"),
+        ("greedy-chain", "m", True, "int"),
+        ("ranking-simulate", "extra_edge_prob", True, "float"),
+        ("ranking-simulate", "extra_edge_prob", None, "float"),
+    ):
+        with pytest.raises(InvalidParams) as err:
+            run_experiment(suite, params={key: value}, trials=5, seed=0)
+        assert str(err.value) == f"suite {suite!r} parameter {key!r} must be {kind}, got {value!r}"
+    _, records = run_experiment("ranking-simulate", params={"extra_edge_prob": 1}, trials=2, seed=0)
+    assert len(records) == 2
 
 
 def test_run_experiment_coerces_string_params():
@@ -166,13 +183,17 @@ def test_run_experiment_coerces_string_params():
     assert records[0].reference == Fraction(4)
 
 
+def _csv_text(records):
+    buf = io.StringIO()
+    records_to_csv(records, buf)
+    return buf.getvalue()
+
+
 def test_parallel_and_serial_runs_write_identical_csv(monkeypatch):
     def run_with(cap):
         monkeypatch.setenv("AUCTIONLAB_WORKERS", cap)
         _, records = run_experiment("greedy-chain", trials=520, seed=7)
-        buf = io.StringIO()
-        records_to_csv(records, buf)
-        return buf.getvalue()
+        return _csv_text(records)
 
     assert run_with("1") == run_with("2")
 
@@ -285,3 +306,59 @@ def test_report_doc_is_json_clean():
     assert parsed["suite"] == "greedy-chain"
     assert parsed["bound"] == "5/1"
     assert parsed["trials"] == 12
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_pooled_and_serial_runs_agree_for_every_suite(monkeypatch, suite):
+    import auctionlab.harness as harness
+
+    monkeypatch.setattr(harness, "_PARALLEL_THRESHOLD", 2)
+    params = {"m_max": 4} if suite == "adversary" else None
+
+    def run_with(cap):
+        monkeypatch.setenv("AUCTIONLAB_WORKERS", cap)
+        report, records = run_experiment(suite, params, trials=24, seed=5)
+        return format_report(report).rsplit(" [", 1)[0], _csv_text(records)
+
+    assert run_with("1") == run_with("2")
+
+
+# ----------------------------------------------------------------------
+# golden outputs: SHA-256 over seeds 0-9 of each run's record CSV followed by
+# its report line without the timing, at 60 trials (adversary: m_max=5)
+
+_GOLDEN = {
+    "ranking-kcopy": "babf3a7705ea24071d15160d8e5e0e84346dee6cc12f56038a9549a1cf86bcec",
+    "ranking-simulate": "fe6debb59ee1861a3b5a0026b83981c2d1643ec4d75ec4fda9525daaa4dfbc75",
+    "greedy-chain": "e8b6a64eea6621d1002833f1806811c7c914a223b3f9dd8f3e83898eaeb5e7a7",
+    "reverse-match": "e8f6698276fa9a90abba86e05021f90a131f700a1561ecb53ff87f2fc2cf119f",
+    "random-construction": "4fce5059e6505ad7b06f82de217c10616bf929d2b15a7ded795cdf8be35a99af",
+    "adversary": "f363f528bd64062f2aa4f2e22b1fec7431e408530190fa014fa917c237ae990d",
+    "top-c": "8085a1a08394605717fe0af64df835cf222f525de3e85799b24a9b61092061bd",
+}
+
+
+def test_golden_pins_cover_every_suite():
+    assert set(_GOLDEN) == set(SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(_GOLDEN))
+def test_records_and_report_lines_match_the_golden_digest(suite):
+    digest = hashlib.sha256()
+    for seed in range(10):
+        params = {"m_max": 5} if suite == "adversary" else None
+        report, records = run_experiment(suite, params, trials=60, seed=seed)
+        line = re.sub(r" \[[0-9.]+s\]$", "", format_report(report))
+        digest.update(_csv_text(records).encode())
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == _GOLDEN[suite]
+
+
+def test_readme_names_every_suite_with_its_verdict_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    harness = readme.split("- **harness**", 1)[1].split("\n\n", 1)[0]
+    documented = []
+    for item in harness.split("\n  - ")[1:]:
+        kind, *suites = re.findall(r"`([a-z-]+)`", item)
+        documented += [(suite, kind) for suite in suites]
+    assert sorted(documented) == sorted((suite, _SUITES[suite].kind) for suite in SUITES)

@@ -259,10 +259,16 @@ def test_instance_rows_and_r_min_match_references(parts):
 
 
 def copied_bids(raw):
-    """The bid map as first built: every entry rebuilt in order under a
-    (keyword, bidder) tuple key, with the money check per amount."""
+    """The bid map built entry by entry: every entry rebuilt in order under a
+    (keyword, bidder) tuple key, with the money check per amount.  A key that
+    is not a 2-item tuple is refused: ValueError for a sequence or set of the
+    wrong shape, TypeError for anything that cannot be iterated."""
     bids = {}
-    for (u, v), a in dict(raw).items():
+    for key, a in dict(raw).items():
+        if not isinstance(key, tuple) or len(key) != 2:
+            error = ValueError if isinstance(key, (str, tuple, frozenset)) else TypeError
+            raise error(f"bid key {key!r} is not a (keyword, bidder) tuple")
+        u, v = key
         if isinstance(a, bool) or not isinstance(a, int):
             raise TypeError(f"bid ({u!r}, {v!r}) must be an int, got {a!r}")
         bids[(u, v)] = a
@@ -271,9 +277,11 @@ def copied_bids(raw):
 
 Pair = namedtuple("Pair", "keyword bidder")
 
-# keys that are not plain pairs: a 2-char string and a namedtuple unpack
-# into a pair, the others fail to unpack
-_ODD_KEYS = st.sampled_from(["uv", "bad", ("u",), ("u", "v0", "x"), Pair("u1", "v1"), 7])
+# keys that are not plain pairs: a namedtuple is stored as a plain pair; a
+# 2-char string, a 2-item frozenset and the others are refused
+_ODD_KEYS = st.sampled_from(
+    ["uv", "bad", frozenset({"u", "v"}), ("u",), ("u", "v0", "x"), Pair("u1", "v1"), 7]
+)
 _ODD_AMOUNTS = st.sampled_from([True, 2.0, 2.5]) | st.integers(-1, 3)
 
 
