@@ -270,9 +270,12 @@ def summarize(
     kind = _SUITES[suite].kind
 
     n = len(records)
-    mean = Fraction(sum(r.value for r in records), n)
+    total = sum(r.value for r in records)
+    mean = Fraction(total, n)
     if n > 1:
-        var = sum((Fraction(r.value) - mean) ** 2 for r in records) / (n - 1)
+        # the sample variance in integer moments: sum((v - mean)^2) / (n - 1)
+        squares = sum(r.value * r.value for r in records)
+        var = Fraction(n * squares - total * total, n * (n - 1))
         stdev = math.sqrt(float(var))
     else:
         stdev = 0.0

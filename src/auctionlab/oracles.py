@@ -16,6 +16,16 @@ Each search also skips children that an exact upper bound shows cannot be
 strictly better than the best value found so far.  A choice is replaced only
 by a strictly better one, so values and witnesses are those of the unpruned
 search and node counts can only fall.
+
+The budgeted searches clamp budgets to the bids still to come.  From
+keyword t on, a bidder is charged at most its own bid per keyword, so budget
+above its bids on keywords t and later is never spent and never caps a
+price.  Each row entry carries the bidder's bids after that keyword, and the
+state passed past the keyword lowers the row's budgets to them.  States that
+differ only in such budget have the same subtree and share one memo entry.
+opt_1paa also lowers each budget at the root to its bidder's total bids, so
+a bidder with no bids left has 0 and the remaining budgets sum to a bound on
+the state's value.
 """
 
 from __future__ import annotations
@@ -153,23 +163,39 @@ def _neighbor_rows(instance: Instance) -> list[tuple[int, ...]]:
     return [tuple(map(index, instance.positive_bids(u))) for u in instance.keywords]
 
 
-def _indexed_rows(instance: Instance) -> list[tuple[tuple[int, int], ...]]:
-    """Each keyword's positive bids as (bidder index, amount), in index order."""
-    index = instance.bidder_index
-    return [
-        tuple((index(v), a) for v, a in instance.positive_bids(u).items())
-        for u in instance.keywords
-    ]
+def _budget_rows(
+    instance: Instance,
+) -> tuple[list[tuple[tuple[int, int, int], ...]], list[tuple[int, ...]], list[int]]:
+    """The tables of the budgeted searches, built in one backward pass.
+
+    - rows[t]: keyword t's positive bids as (bidder index, amount, the
+      bidder's bids summed over keywords t + 1 and later), in index order;
+    - future[t]: the sorted indices of bidders bidding at steps t and later;
+    - each bidder's bids summed over all keywords.
+    """
+    index, keywords = instance.bidder_index, instance.keywords
+    m = len(keywords)
+    rows: list[tuple[tuple[int, int, int], ...]] = [()] * m
+    future: list[tuple[int, ...]] = [()] * (m + 1)
+    later = [0] * len(instance.bidders)
+    bidding: set[int] = set()
+    for t in range(m - 1, -1, -1):
+        bids = [(index(v), a) for v, a in instance.positive_bids(keywords[t]).items()]
+        rows[t] = tuple((i, a, later[i]) for i, a in bids)
+        for i, a in bids:
+            later[i] += a
+            bidding.add(i)
+        future[t] = tuple(sorted(bidding))
+    return rows, future, later
 
 
-def _still_bidding(rows: Sequence[tuple[tuple[int, int], ...]]) -> list[tuple[int, ...]]:
-    """For each step t, the sorted indices of bidders bidding at steps t and later."""
-    future: list[tuple[int, ...]] = [()] * (len(rows) + 1)
-    acc: set[int] = set()
-    for t in range(len(rows) - 1, -1, -1):
-        acc.update(i for i, _ in rows[t])
-        future[t] = tuple(sorted(acc))
-    return future
+def _clamped(rem: list[int], row: tuple[tuple[int, int, int], ...]) -> list[int]:
+    """A copy of `rem` with each bidder of `row` lowered to its bids after that row."""
+    out = rem.copy()
+    for i, _, after in row:
+        if out[i] > after:
+            out[i] = after
+    return out
 
 
 def _no_key(rem: list[int]) -> tuple[()]:
@@ -261,7 +287,10 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
         memos[t][consumed & future[t]] = (value, choice)
         return value
 
-    total = _search_root("opt_2pm", m, best, 0, 0) if m else 0
+    try:
+        total = _search_root("opt_2pm", m, best, 0, 0) if m else 0
+    finally:
+        del best  # the closure holds itself through this cell; free the tables with it
 
     # replay the stored choices into an explicit trace
     ids = instance.bidder_ids
@@ -310,8 +339,14 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
     second-highest original bids cannot beat the best value so far.  Exact
     because a price never exceeds its keyword's second-highest original bid,
     whatever the budgets.
+
+    Clamp: past keyword t, each bidder of that keyword keeps at most its
+    bids on the later keywords.  Exact because a first bidder is charged at
+    most its own bid, so a clamped budget still covers each later bid: as a
+    second the bidder still bids in full, and as a first it can still pay
+    every price it could pay without the clamp.
     """
-    rows = _indexed_rows(instance)
+    rows, future, _ = _budget_rows(instance)
     m = instance.m
 
     s_u = _second_bids(instance)
@@ -320,7 +355,7 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
         suffix[t] = suffix[t + 1] + s_u[t]
     # no keyword from `depth` on can charge a positive price
     depth = suffix.index(0)
-    keys = _projectors(_still_bidding(rows)[:depth] + [()])
+    keys = _projectors(future[:depth] + [()])
 
     memos = _memos(depth, ())
     nodes = 0
@@ -331,20 +366,22 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
         if nodes > node_limit:
             raise TooLarge(f"opt_2paa exceeded node limit {node_limit}")
         memo, key, later = memos[t + 1], keys[t + 1], suffix[t + 1]
-        hit = memo.get(key(rem))
-        value = hit[0] if hit is not None else best(t + 1, rem)
-        choice = None
         row = rows[t]
-        for j, (second, bid2) in enumerate(row):
-            left = rem[second]
-            eff2 = bid2 if bid2 < left else left  # min() without the call
+        skip = _clamped(rem, row)
+        hit = memo.get(key(skip))
+        value = hit[0] if hit is not None else best(t + 1, skip)
+        choice = None
+        for j, (second, bid2, _) in enumerate(row):
+            have = rem[second]
+            eff2 = bid2 if bid2 < have else have  # min() without the call
             if eff2 <= 0 or eff2 + later <= value:
                 continue
-            for i, (first, bid1) in enumerate(row):
+            for i, (first, bid1, after) in enumerate(row):
                 if i == j or bid1 < eff2 or rem[first] < eff2:
                     continue
-                child = rem.copy()
-                child[first] -= eff2
+                child = skip.copy()
+                spent = rem[first] - eff2
+                child[first] = spent if spent < after else after
                 hit = memo.get(key(child))
                 got = eff2 + (hit[0] if hit is not None else best(t + 1, child))
                 if got > value:
@@ -354,12 +391,14 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
         memos[t][keys[t](rem)] = (value, choice)
         return value
 
-    budgets0 = [b for _, b in instance.bidders]
-    total = _search_root("opt_2paa", m, best, 0, budgets0) if depth else 0
+    rem = [b for _, b in instance.bidders]
+    try:
+        total = _search_root("opt_2paa", m, best, 0, rem) if depth else 0
+    finally:
+        del best  # the closure holds itself through this cell; free the tables with it
 
     ids = instance.bidder_ids
     actions = []
-    rem = list(budgets0)
     for t in range(depth):
         choice = memos[t][keys[t](rem)][1]
         if choice is None:
@@ -368,6 +407,7 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
             first, second, price = choice
             actions.append(Assign(ids[first], ids[second]))
             rem[first] -= price
+        rem = _clamped(rem, rows[t])
     actions.extend([SKIP] * (m - depth))
     trace = execute(instance, actions)
     _check_replay(trace.value, total)
@@ -382,10 +422,19 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
     Bound: a winner paying eff is skipped when eff plus Skip's value cannot
     beat the best value so far.  Exact because a bidder's total payment is
     min(budget, sum of its assigned bids), which never rises when a budget
-    falls.
+    falls.  And no winner is tried once the best value so far reaches the
+    sum of the remaining budgets: from keyword t on, bidder i pays at most
+    min(rem[i], its bids on keywords t and later), and the clamp below keeps
+    rem[i] at most those bids, which are 0 once i bids no more.
+
+    Clamp: the root lowers each budget to its bidder's total bids, and past
+    keyword t each bidder of that keyword keeps at most its bids on the
+    later keywords.  Exact because the clamped budget still covers each
+    later bid, so every later winner pays the same with or without the
+    clamp.
     """
-    rows = _indexed_rows(instance)
-    keys = _projectors(_still_bidding(rows))
+    rows, future, totals = _budget_rows(instance)
+    keys = _projectors(future)
     m = instance.m
 
     memos = _memos(m, ())
@@ -397,16 +446,21 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
         if nodes > node_limit:
             raise TooLarge(f"opt_1paa exceeded node limit {node_limit}")
         memo, key = memos[t + 1], keys[t + 1]
-        hit = memo.get(key(rem))
-        skip = hit[0] if hit is not None else best(t + 1, rem)
+        row = rows[t]
+        base = _clamped(rem, row)
+        hit = memo.get(key(base))
+        skip = hit[0] if hit is not None else best(t + 1, base)
         value, choice = skip, None
-        for winner, bid in rows[t]:
-            left = rem[winner]
-            eff = bid if bid < left else left  # min() without the call
+        most = sum(rem)
+        for winner, bid, _ in row:
+            if value >= most:
+                break  # no winner can be strictly better
+            have = rem[winner]
+            eff = bid if bid < have else have  # min() without the call
             if eff <= 0 or eff + skip <= value:
                 continue
-            child = rem.copy()
-            child[winner] -= eff
+            child = base.copy()
+            child[winner] = have - eff  # at most its later bids: have <= bid + later bids
             hit = memo.get(key(child))
             got = eff + (hit[0] if hit is not None else best(t + 1, child))
             if got > value:
@@ -414,18 +468,21 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
         memos[t][keys[t](rem)] = (value, choice)
         return value
 
-    budgets0 = [b for _, b in instance.bidders]
-    total = _search_root("opt_1paa", m, best, 0, budgets0) if m else 0
+    rem = [min(b, most) for (_, b), most in zip(instance.bidders, totals)]
+    try:
+        total = _search_root("opt_1paa", m, best, 0, rem) if m else 0
+    finally:
+        del best  # the closure holds itself through this cell; free the tables with it
 
     ids = instance.bidder_ids
     winners: dict[str, str] = {}
-    rem = list(budgets0)
     for t in range(m):
         choice = memos[t][keys[t](rem)][1]
         if choice is not None:
             winner, price = choice
             winners[instance.keywords[t]] = ids[winner]
             rem[winner] -= price
+        rem = _clamped(rem, rows[t])
     _check_replay(first_price_value(instance, winners), total)
     return OptResult(total, winners, _search_stats(nodes, memos[:m]))
 

@@ -6,10 +6,12 @@ references in test_oracles.py cannot.  scipy is not a package dependency, so
 the module is skipped without it.
 """
 
+import random
+
 import numpy as np
 import pytest
 
-from auctionlab import max_matching, opt_1paa, opt_2pm, random_2paa, random_2pm
+from auctionlab import Instance, max_matching, opt_1paa, opt_2pm, random_2paa, random_2pm
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 csgraph = pytest.importorskip("scipy.sparse.csgraph")
@@ -124,6 +126,16 @@ def test_opt_2pm_equals_milp_at_reverse_match_size(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_opt_1paa_equals_milp(seed):
     inst = random_2paa(9, 4, 9, 1, seed=seed)
+    assert opt_1paa(inst).value == milp_1paa(inst)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_opt_1paa_equals_milp_with_budgets_below_the_bids(seed):
+    # each budget drawn in 0..its bidder's largest bid, so most sit below it
+    inst = random_2paa(9, 4, 9, 1, seed=seed)
+    rng = random.Random(seed)
+    bidders = tuple((v, rng.randint(0, budget)) for v, budget in inst.bidders)
+    inst = Instance(inst.keywords, bidders, inst.bids)
     assert opt_1paa(inst).value == milp_1paa(inst)
 
 

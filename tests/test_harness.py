@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlab import (
     EmptyStream,
@@ -71,6 +73,24 @@ def test_summarize_sample_standard_deviation():
     assert report.mean == 1
     assert report.stdev == pytest.approx(math.sqrt(2))
     assert report.se == pytest.approx(1.0)
+
+
+def _fraction_moments(values):
+    """Mean and sample variance by summing each value's squared deviation."""
+    n = len(values)
+    mean = Fraction(sum(values), n)
+    var = sum((Fraction(v) - mean) ** 2 for v in values) / (n - 1) if n > 1 else Fraction(0)
+    return mean, var
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=60))
+def test_summarize_moments_equal_the_per_record_fraction_loop(values):
+    report = summarize([chain_record(i, v) for i, v in enumerate(values)])
+    mean, var = _fraction_moments(values)
+    assert report.mean == mean
+    assert report.stdev == math.sqrt(float(var))
+    assert report.se == report.stdev / math.sqrt(len(values))
 
 
 def test_summarize_rejects_empty_and_mixed_streams():

@@ -1,11 +1,14 @@
 """Reference solvers checked against tiny hand values and naive re-implementations.
 
 The naive solvers here are deliberately dumb (no memoization, no pruning)
-so that agreement with the packaged searches is meaningful evidence.  The
-unpruned searches further down are the memoized searches without their
-bounds; the pruned ones must return the same values and witnesses.
+so that agreement with the packaged searches is meaningful evidence; the
+auction optima are checked against every action sequence through `execute`
+and every winner map through `first_price_value`.  The unpruned searches
+further down are the memoized searches without their bounds or budget
+clamps; the pruned ones must return the same values and witnesses.
 """
 
+import gc
 import itertools
 import random
 
@@ -20,6 +23,7 @@ from auctionlab import (
     InvalidParams,
     Matching,
     OptResult,
+    OrderingViolation,
     SearchStats,
     TooLarge,
     execute,
@@ -283,32 +287,38 @@ def _random_weighted(rng, m=4, n=4, max_bid=5):
     return Instance(keywords, bidders, bids)
 
 
-def _naive_2paa_value(inst):
-    def go(t, rem):
-        if t == inst.m:
-            return 0
-        best = go(t + 1, rem)
-        bids = inst.positive_bids(inst.keywords[t])
-        ids = list(bids)
-        for first in ids:
-            for second in ids:
-                if first == second:
-                    continue
-                eff2 = min(bids[second], rem[second])
-                if eff2 <= 0 or min(bids[first], rem[first]) < eff2:
-                    continue
-                child = dict(rem)
-                child[first] -= eff2
-                best = max(best, eff2 + go(t + 1, child))
-        return best
-
-    return go(0, inst.initial_budgets())
+def _independent(rng, m, n, max_bid=9):
+    """Bids in 0..max_bid and budgets in 0..12 drawn independently, so bids
+    above the budget and zero budgets occur."""
+    keywords = tuple(f"u{i}" for i in range(m))
+    bidders = tuple((f"v{j}", rng.randint(0, 12)) for j in range(n))
+    bids = {(u, v): a for u in keywords for v, _ in bidders if (a := rng.randint(0, max_bid))}
+    return Instance(keywords, bidders, bids)
 
 
-def test_opt_2paa_matches_naive_search():
-    for seed in range(20):
-        inst = _random_weighted(random.Random(seed))
-        assert opt_2paa(inst).value == _naive_2paa_value(inst)
+def _every_2paa_value(inst):
+    """The best value of every action sequence that `execute` accepts: per
+    keyword Skip or any ordered pair of distinct bidders."""
+    moves = [SKIP] + [Assign(a, b) for a, b in itertools.permutations(inst.bidder_ids, 2)]
+    best = 0
+    for actions in itertools.product(moves, repeat=inst.m):
+        try:
+            best = max(best, execute(inst, actions).value)
+        except OrderingViolation:
+            pass
+    return best
+
+
+# (keywords, bidders) shapes, drawn uniformly rather than biased to small sizes
+def _shapes(max_m, max_n):
+    return st.sampled_from([(m, n) for m in range(max_m + 1) for n in range(1, max_n + 1)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_shapes(4, 3), st.integers(1, 9), st.integers(0, 10**6))
+def test_opt_2paa_matches_naive_search(shape, max_bid, seed):
+    inst = _independent(random.Random(seed), *shape, max_bid)
+    assert opt_2paa(inst).value == _every_2paa_value(inst)
 
 
 def test_opt_2paa_respects_second_bid_upper_bound():
@@ -347,27 +357,22 @@ def test_opt_1paa_budget_truncates_repeat_winner():
     assert first_price_value(inst, result.witness) == 5
 
 
-def _naive_1paa_value(inst):
-    def go(t, rem):
-        if t == inst.m:
-            return 0
-        best = go(t + 1, rem)
-        for v, bid in inst.positive_bids(inst.keywords[t]).items():
-            eff = min(bid, rem[v])
-            if eff <= 0:
-                continue
-            child = dict(rem)
-            child[v] -= eff
-            best = max(best, eff + go(t + 1, child))
-        return best
-
-    return go(0, inst.initial_budgets())
+def _every_1paa_value(inst):
+    """The best `first_price_value` of every keyword -> winner map, a winner
+    being any bidder or none."""
+    choices = (None, *inst.bidder_ids)
+    best = 0
+    for picks in itertools.product(choices, repeat=inst.m):
+        winners = {u: v for u, v in zip(inst.keywords, picks) if v is not None}
+        best = max(best, first_price_value(inst, winners))
+    return best
 
 
-def test_opt_1paa_matches_naive_search():
-    for seed in range(20):
-        inst = _random_weighted(random.Random(4000 + seed))
-        assert opt_1paa(inst).value == _naive_1paa_value(inst)
+@settings(max_examples=200, deadline=None)
+@given(_shapes(5, 4), st.integers(1, 9), st.integers(0, 10**6))
+def test_opt_1paa_matches_naive_search(shape, max_bid, seed):
+    inst = _independent(random.Random(seed), *shape, max_bid)
+    assert opt_1paa(inst).value == _every_1paa_value(inst)
 
 
 def test_first_price_value_checks_ids_and_allows_gaps():
@@ -608,7 +613,7 @@ def test_unpruned_searches_reproduce_the_node_counts_measured_before_pruning():
     counts = [search(make())[2] for search, (_, make) in zip(unpruned, NODE_INSTANCES)]
     assert counts == [4466, 2595, 8573]
     # and the bounds cut them to
-    assert [oracle(make()).stats.nodes for oracle, make in NODE_INSTANCES] == [1841, 2331, 8043]
+    assert [oracle(make()).stats.nodes for oracle, make in NODE_INSTANCES] == [1841, 938, 152]
 
 
 @settings(max_examples=80, deadline=None)
@@ -626,16 +631,21 @@ def test_pruned_2pm_equals_unpruned_search(m, n, p, seed):
     assert result.stats.nodes <= nodes
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     st.integers(0, 7),
     st.integers(1, 4),
     st.integers(1, 7),
     st.integers(1, 2),
     st.integers(0, 10**6),
+    st.booleans(),
 )
-def test_pruned_auction_searches_equal_unpruned_search(m, n, max_bid, r, seed):
-    inst = random_2paa(m, n, max_bid, r, seed=seed)
+def test_pruned_auction_searches_equal_unpruned_search(m, n, max_bid, r, seed, independent):
+    # random_2paa budgets cover every bid; independent ones often do not
+    if independent:
+        inst = _independent(random.Random(seed), m, n, max_bid)
+    else:
+        inst = random_2paa(m, n, max_bid, r, seed=seed)
     result = opt_2paa(inst)
     value, actions, nodes = _unpruned_2paa(inst)
     assert (result.value, result.witness.actions()) == (value, actions)
@@ -669,3 +679,55 @@ def test_lowering_one_budget_never_raises_opt_1paa(seed, k, cut):
     bidders[k] = (v, max(0, budget - cut))
     lowered = Instance(inst.keywords, tuple(bidders), inst.bids)
     assert opt_1paa(lowered).value <= opt_1paa(inst).value
+
+
+def _total_bids(inst, v):
+    return sum(inst.positive_bids(u).get(v, 0) for u in inst.keywords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_opt_1paa_is_at_most_each_bidders_spendable_budget(seed):
+    # a bidder pays min(budget, its assigned bids), and those are at most all its bids
+    inst = _independent(random.Random(seed), 7, 4)
+    spendable = sum(min(budget, _total_bids(inst, v)) for v, budget in inst.bidders)
+    assert opt_1paa(inst).value <= spendable
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3), st.integers(1, 20))
+def test_budget_beyond_a_bidders_total_bids_changes_no_search(seed, k, extra):
+    inst = _independent(random.Random(seed), 6, 4)
+    v = inst.bidder_ids[k]
+    total = _total_bids(inst, v)
+
+    def with_budget(budget):
+        bidders = list(inst.bidders)
+        bidders[k] = (v, budget)
+        return Instance(inst.keywords, tuple(bidders), inst.bids)
+
+    # budget above `total` is never spent, so even the search statistics match
+    exact, above = with_budget(total), with_budget(total + extra)
+    first, second = opt_2paa(exact), opt_2paa(above)
+    assert (first.value, first.witness.actions()) == (second.value, second.witness.actions())
+    assert first.stats == second.stats
+    first, second = opt_1paa(exact), opt_1paa(above)
+    assert (first.value, first.witness, first.stats) == (second.value, second.witness, second.stats)
+
+
+@pytest.mark.parametrize("oracle, make", NODE_INSTANCES, ids=["opt_2pm", "opt_2paa", "opt_1paa"])
+def test_searches_leave_no_cyclic_garbage(oracle, make):
+    # the recursive search closure must not keep its memo tables in a cycle,
+    # neither after a search nor after one stopped by its node limit
+    inst = make()
+    gc.collect()
+    gc.disable()
+    try:
+        oracle(inst)
+        try:
+            oracle(inst, node_limit=10)
+        except TooLarge:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
