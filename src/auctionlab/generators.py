@@ -161,27 +161,37 @@ class ChainSample:
     witness_actions: tuple[Action, ...] | None
 
 
-def sample_chain(m: int, variant: ChainVariant, seed: int | None = None) -> ChainSample:
+def sample_chain(
+    m: int,
+    variant: ChainVariant,
+    seed: int | None = None,
+    *,
+    coins: Sequence[int] | None = None,
+) -> ChainSample:
     """Draw an m-keyword chain; successor keywords inherit a uniform endpoint.
 
     Keyword 1 sees two fresh bidders; keyword i+1 sees one uniformly chosen
     bidder of keyword i plus one fresh bidder.  RESTRICTED marks one of the
     first keyword's bidders (uniformly) unavailable: it stays listed but
-    places no bids.
+    places no bids.  `coins`, when given, are the m - 1 choices (0 or 1, the
+    index into keyword i's pair) used instead of drawn ones; the RESTRICTED
+    mark is still drawn from `seed`.
     """
     if m < 1:
         raise InvalidParams(f"m must be >= 1, got {m}")
+    if coins is not None and (len(coins) != m - 1 or any(c not in (0, 1) for c in coins)):
+        raise InvalidParams(f"coins must be m - 1 = {m - 1} values of 0 or 1, got {coins!r}")
     variant = ChainVariant(variant)
     rng = random.Random(seed)
 
     unavailable: str | None = None
-    coins: list[int] = []
+    drawn: list[int] = []
     pairs: list[tuple[str, str]] = [("b1", "b2")]
     if variant is ChainVariant.RESTRICTED:
         unavailable = pairs[0][rng.getrandbits(1)]
     for i in range(2, m + 1):
-        coin = rng.getrandbits(1)
-        coins.append(coin)
+        coin = rng.getrandbits(1) if coins is None else int(coins[i - 2])
+        drawn.append(coin)
         pairs.append((pairs[-1][coin], f"b{i + 1}"))
 
     keywords = tuple(f"u{i}" for i in range(1, m + 1))
@@ -206,7 +216,7 @@ def sample_chain(m: int, variant: ChainVariant, seed: int | None = None) -> Chai
                 actions.append(Assign(pair[1], pair[0]))
         witness = tuple(actions)
 
-    return ChainSample(instance, variant, tuple(coins), tuple(pairs), unavailable, witness)
+    return ChainSample(instance, variant, tuple(drawn), tuple(pairs), unavailable, witness)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -33,7 +33,11 @@ from .online import (
 from .oracles import max_matching, opt_1paa, opt_2pm
 from .reductions import normalize_first_price, random_construction, to_first_price_bids
 
-_PARALLEL_THRESHOLD = 512
+# Seconds to start a process pool, map one small job list over it and shut it
+# down: about 10 ms for 2 workers on a 2-CPU Linux VM (Python 3.11.7, fork,
+# in a process that had imported auctionlab).  run_experiment hands the rest
+# of a run to a pool only when the pool would save more than this.
+_POOL_COST_S = 0.01
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,8 @@ class ExperimentReport:
     violations: int
     passed: bool
     elapsed: float
+    workers: int = 1  # processes in the pool that ran the tail; 1 when serial
+    pooled_from: int | None = None  # first trial index given to the pool
 
 
 @lru_cache(maxsize=None)
@@ -237,16 +243,16 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 
+def _run_trial(suite: str, params: dict, base_seed: int, index: int) -> TrialRecord | None:
+    seed = base_seed ^ index
+    outcome = _SUITES[suite].trial(params, index, seed)
+    return None if outcome is None else make_record(suite, index, seed, *outcome)
+
+
 def _run_trials(args: tuple) -> list[TrialRecord | None]:
-    """Trials start..stop-1 of one run, in order; also a pool job."""
+    """Trials start..stop-1 of one run, in order: a pool job."""
     suite, params, base_seed, start, stop = args
-    trial = _SUITES[suite].trial
-    records = []
-    for index in range(start, stop):
-        seed = base_seed ^ index
-        outcome = trial(params, index, seed)
-        records.append(None if outcome is None else make_record(suite, index, seed, *outcome))
-    return records
+    return [_run_trial(suite, params, base_seed, index) for index in range(start, stop)]
 
 
 def violates(record: TrialRecord) -> bool:
@@ -296,12 +302,15 @@ def summarize(
 
 
 def worker_cap() -> int:
+    """AUCTIONLAB_WORKERS when set, else the CPUs this process may run on."""
     raw = os.environ.get("AUCTIONLAB_WORKERS", "")
     if raw.strip():
         try:
             return max(1, int(raw))
         except ValueError as exc:
             raise InvalidParams(f"AUCTIONLAB_WORKERS={raw!r} is not an integer") from exc
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
@@ -317,6 +326,14 @@ def run_experiment(
     draws everything from seed XOR i, so scheduling and worker count never
     change the records.  The adversary suite plays each policy of its battery
     for m = 1..m_max arrivals, so it runs 3 * m_max trials and ignores `trials`.
+
+    Trials run in this process, in index order.  After each trial from the
+    second on, the serial time of the trials left is estimated as the mean
+    time of the trials so far, the first excluded (it pays one-time set-up),
+    times their number.  A pool of cap = `worker_cap()` processes saves at most
+    (cap - 1) / cap of that; once this exceeds `_POOL_COST_S`, the remaining
+    trials go to the pool in cap * 4 chunks.  With a cap of 1 no pool is made.
+    The report's `workers` and `pooled_from` say which happened.
     """
     spec = _SUITES.get(suite)
     if spec is None:
@@ -328,20 +345,31 @@ def run_experiment(
     elif trials < 1:
         raise InvalidParams(f"trials must be >= 1, got {trials}")
     cap = worker_cap()
-    if trials >= _PARALLEL_THRESHOLD and cap > 1:
-        chunk = -(-trials // (cap * 4))
-        jobs = [
-            (suite, merged, seed, start, min(start + chunk, trials))
-            for start in range(0, trials, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=cap) as pool:
-            parts = list(pool.map(_run_trials, jobs))
-    else:
-        parts = [_run_trials((suite, merged, seed, 0, trials))]
-    records = [record for part in parts for record in part if record is not None]
-    skipped = trials - len(records)
-    report = summarize(records, skipped=skipped, elapsed=time.perf_counter() - started)
-    return report, records
+    records: list[TrialRecord | None] = []
+    timed = 0.0  # seconds spent in trials 1..index-1
+    workers, pooled_from = 1, None
+    for index in range(trials):
+        left = trials - index
+        if cap > 1 and index > 1 and timed / (index - 1) * left * (cap - 1) / cap > _POOL_COST_S:
+            chunk = -(-left // (cap * 4))
+            jobs = [
+                (suite, merged, seed, start, min(start + chunk, trials))
+                for start in range(index, trials, chunk)
+            ]
+            workers, pooled_from = min(cap, len(jobs)), index
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for part in pool.map(_run_trials, jobs):
+                    records += part
+            break
+        before = time.perf_counter()
+        records.append(_run_trial(suite, merged, seed, index))
+        if index:
+            timed += time.perf_counter() - before
+    records = [record for record in records if record is not None]
+    report = summarize(
+        records, skipped=trials - len(records), elapsed=time.perf_counter() - started
+    )
+    return replace(report, workers=workers, pooled_from=pooled_from), records
 
 
 def report_to_doc(report: ExperimentReport) -> dict:
@@ -359,6 +387,8 @@ def report_to_doc(report: ExperimentReport) -> dict:
         "violations": report.violations,
         "passed": report.passed,
         "elapsed": report.elapsed,
+        "workers": report.workers,
+        "pooled_from": report.pooled_from,
     }
 
 

@@ -19,6 +19,7 @@ from auctionlab import (
     extract_vertex_cover,
     gap_instance,
     gap_witness_actions,
+    greedy_2pm,
     left_k_copy,
     max_matching,
     opt_2paa,
@@ -32,6 +33,7 @@ from auctionlab import (
     reverse_match,
     run_experiment,
     run_online,
+    sample_chain,
     unit_instance,
     vc_to_2pm,
     yes_strategy,
@@ -216,6 +218,24 @@ def test_criterion_7_greedy_chain_expectation():
         f"chain greedy mean {float(report.mean):.4f} within 3se of 5 on 10000 draws",
         ok,
     )
+
+
+def test_criterion_7_greedy_chain_expectation_exact():
+    # the m - 1 coins of a chain are fair and independent, so the mean over
+    # every coin sequence is the expectation itself
+    means = {
+        m: Fraction(
+            sum(
+                run_online(sample_chain(m, ChainVariant.NORMAL, coins=coins).instance,
+                           greedy_2pm()).value
+                for coins in itertools.product((0, 1), repeat=m - 1)
+            ),
+            2 ** (m - 1),
+        )
+        for m in range(1, 13)
+    }
+    ok = all(mean == Fraction(m + 1, 2) for m, mean in means.items())
+    _verdict(7, "chain greedy E = (m+1)/2 exactly over every coin sequence, m = 1..12", ok)
 
 
 def test_criterion_8_adversary_battery():

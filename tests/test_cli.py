@@ -398,6 +398,8 @@ def test_experiment_structured_output(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["report"]["suite"] == "adversary"
     assert doc["report"]["violations"] == 0
+    assert doc["report"]["workers"] >= 1
+    assert "pooled_from" in doc["report"]
     assert len(doc["records"]) == 6
 
 

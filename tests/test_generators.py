@@ -149,6 +149,19 @@ def test_chain_is_seed_reproducible():
     assert a.coins != c.coins or a.pairs != c.pairs
 
 
+def test_chain_forced_coins_replay_a_seeded_draw():
+    for seed in range(10):
+        for variant in ChainVariant:
+            drawn = sample_chain(6, variant, seed=seed)
+            assert sample_chain(6, variant, seed=seed, coins=drawn.coins) == drawn
+    sample = sample_chain(4, ChainVariant.NORMAL, coins=(1, 0, 1))
+    assert sample.coins == (1, 0, 1)
+    assert sample.pairs == (("b1", "b2"), ("b2", "b3"), ("b2", "b4"), ("b4", "b5"))
+    for bad in ((0, 1), (0, 1, 1, 0), (0, 2, 1)):
+        with pytest.raises(InvalidParams):
+            sample_chain(4, ChainVariant.NORMAL, coins=bad)
+
+
 def test_restricted_chain_silences_one_first_pair_bidder():
     seen = set()
     for seed in range(20):

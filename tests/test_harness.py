@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -210,9 +212,14 @@ def _csv_text(records):
 
 
 def test_parallel_and_serial_runs_write_identical_csv(monkeypatch):
+    import auctionlab.harness as harness
+
+    monkeypatch.setattr(harness, "_POOL_COST_S", 0.0)
+
     def run_with(cap):
         monkeypatch.setenv("AUCTIONLAB_WORKERS", cap)
-        _, records = run_experiment("greedy-chain", trials=520, seed=7)
+        report, records = run_experiment("greedy-chain", trials=520, seed=7)
+        assert (report.workers, report.pooled_from) == ((1, None) if cap == "1" else (2, 2))
         return _csv_text(records)
 
     assert run_with("1") == run_with("2")
@@ -228,6 +235,54 @@ def test_worker_cap_environment_handling(monkeypatch):
         worker_cap()
     monkeypatch.delenv("AUCTIONLAB_WORKERS")
     assert worker_cap() >= 1
+
+
+def test_worker_cap_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("AUCTIONLAB_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7}, raising=False)
+    assert worker_cap() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_cap() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_cap() == 1
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_light_run_stays_in_process(monkeypatch):
+    import auctionlab.harness as harness
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setenv("AUCTIONLAB_WORKERS", "2")
+    # one decision, after trial 1: pooling the last trial would need trial 1
+    # to take 2 * _POOL_COST_S, hundreds of times a chain trial's cost
+    report, records = run_experiment("greedy-chain", trials=3, seed=0)
+    assert (report.workers, report.pooled_from) == (1, None)
+    assert len(records) == 3
+
+
+def test_cap_one_never_pools(monkeypatch):
+    import auctionlab.harness as harness
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(harness, "_POOL_COST_S", 0.0)
+    monkeypatch.setenv("AUCTIONLAB_WORKERS", "1")
+    report, records = run_experiment("reverse-match", trials=40, seed=0)
+    assert (report.workers, report.pooled_from) == (1, None)
+    assert len(records) + report.skipped == 40
+
+
+def test_pooled_run_leaves_no_worker_processes(monkeypatch):
+    import auctionlab.harness as harness
+
+    monkeypatch.setattr(harness, "_POOL_COST_S", 0.0)
+    monkeypatch.setenv("AUCTIONLAB_WORKERS", "2")
+    report, _ = run_experiment("greedy-chain", trials=40, seed=0)
+    assert report.pooled_from == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_adversary_suite_enumerates_instead_of_sampling():
@@ -255,6 +310,8 @@ def test_skipped_trials_are_counted(monkeypatch):
         return real(inst)
 
     monkeypatch.setattr(harness, "opt_2pm", sometimes_too_large)
+    # the counter lives in this process, so no trial may run in a pool worker
+    monkeypatch.setenv("AUCTIONLAB_WORKERS", "1")
     report, records = run_experiment("reverse-match", trials=10, seed=0)
     assert report.skipped == 5
     assert len(records) == 5
@@ -326,18 +383,32 @@ def test_report_doc_is_json_clean():
     assert parsed["suite"] == "greedy-chain"
     assert parsed["bound"] == "5/1"
     assert parsed["trials"] == 12
+    assert (parsed["workers"], parsed["pooled_from"]) == (report.workers, report.pooled_from)
+
+
+def test_report_doc_names_the_pool_and_summarize_defaults_to_serial(monkeypatch):
+    import auctionlab.harness as harness
+
+    monkeypatch.setattr(harness, "_POOL_COST_S", 0.0)
+    monkeypatch.setenv("AUCTIONLAB_WORKERS", "2")
+    report, records = run_experiment("greedy-chain", trials=30, seed=4)
+    doc = report_to_doc(report)
+    assert (doc["workers"], doc["pooled_from"]) == (2, 2)
+    rebuilt = report_to_doc(summarize(_records_from_csv(_csv_text(records))))
+    assert (rebuilt["workers"], rebuilt["pooled_from"]) == (1, None)
 
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_pooled_and_serial_runs_agree_for_every_suite(monkeypatch, suite):
     import auctionlab.harness as harness
 
-    monkeypatch.setattr(harness, "_PARALLEL_THRESHOLD", 2)
+    monkeypatch.setattr(harness, "_POOL_COST_S", 0.0)
     params = {"m_max": 4} if suite == "adversary" else None
 
     def run_with(cap):
         monkeypatch.setenv("AUCTIONLAB_WORKERS", cap)
         report, records = run_experiment(suite, params, trials=24, seed=5)
+        assert report.pooled_from == (None if cap == "1" else 2)
         return format_report(report).rsplit(" [", 1)[0], _csv_text(records)
 
     assert run_with("1") == run_with("2")

@@ -310,8 +310,9 @@ def _every_2paa_value(inst):
 
 
 # (keywords, bidders) shapes, drawn uniformly rather than biased to small sizes
-def _shapes(max_m, max_n):
-    return st.sampled_from([(m, n) for m in range(max_m + 1) for n in range(1, max_n + 1)])
+def _shapes(max_m, max_n, min_n=1):
+    # uniform over the shapes: st.integers rarely reaches the largest sizes
+    return st.sampled_from([(m, n) for m in range(max_m + 1) for n in range(min_n, max_n + 1)])
 
 
 @settings(max_examples=500, deadline=None)
@@ -617,14 +618,9 @@ def test_unpruned_searches_reproduce_the_node_counts_measured_before_pruning():
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.integers(0, 10),
-    st.integers(2, 8),
-    st.sampled_from([0.2, 0.35, 0.5]),
-    st.integers(0, 10**6),
-)
-def test_pruned_2pm_equals_unpruned_search(m, n, p, seed):
-    inst = random_2pm(m, n, p, seed=seed)
+@given(_shapes(10, 8, min_n=2), st.sampled_from([0.2, 0.35, 0.5]), st.integers(0, 10**6))
+def test_pruned_2pm_equals_unpruned_search(shape, p, seed):
+    inst = random_2pm(*shape, p, seed=seed)
     result = opt_2pm(inst)
     value, actions, nodes = _unpruned_2pm(inst)
     assert (result.value, result.witness.actions()) == (value, actions)
@@ -633,15 +629,15 @@ def test_pruned_2pm_equals_unpruned_search(m, n, p, seed):
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.integers(0, 7),
-    st.integers(1, 4),
+    _shapes(7, 4),
     st.integers(1, 7),
     st.integers(1, 2),
     st.integers(0, 10**6),
     st.booleans(),
 )
-def test_pruned_auction_searches_equal_unpruned_search(m, n, max_bid, r, seed, independent):
+def test_pruned_auction_searches_equal_unpruned_search(shape, max_bid, r, seed, independent):
     # random_2paa budgets cover every bid; independent ones often do not
+    m, n = shape
     if independent:
         inst = _independent(random.Random(seed), m, n, max_bid)
     else:
