@@ -48,11 +48,12 @@ print("internally matched bidders:", sorted(policy.state.matched))
 
 # The 2-copy instance itself, for comparison.
 doubled = left_k_copy(cycle, 2)
-matching = run_online(doubled.instance, ranking_1p(seed=7))
+matching = run_online(doubled.instance, ranking_1p(), seed=7)
 print("ranking on explicit 2-copy matched", matching.size, "of 6 copies")
 print("copy -> original:", dict(sorted(doubled.zeta.items())))
 
-# Seeded policies are reproducible end to end.
-a = run_online(cycle, ranking_simulate(seed=11)).value
-b = run_online(cycle, ranking_simulate(seed=11)).value
+# Seeded runs are reproducible end to end: the driver's seed is the only
+# source of randomness.
+a = run_online(cycle, ranking_simulate(), seed=11).value
+b = run_online(cycle, ranking_simulate(), seed=11).value
 print("\nsame seed, same value:", a, "==", b)

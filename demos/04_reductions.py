@@ -45,7 +45,7 @@ print("\ntriangle gadget: opt", best.value, "-> cover", sorted(cover))
 
 # First-price transform on a small weighted instance: keep each bid only
 # at the largest rival price it could be charged, then trim winners past
-# their budgets.
+# their budgets.  Allocations are keyword -> winner mappings throughout.
 inst = Instance(
     ("u1", "u2", "u3", "u4"),
     (("A", 10), ("B", 7), ("C", 6)),
@@ -61,7 +61,7 @@ print("\ntransform keeps", len(prime.bids), "of", len(inst.bids), "bids")
 
 best_fp = opt_1paa(prime)
 alloc = normalize_first_price(prime, best_fp.witness)
-target = first_price_value(prime, alloc.winner_of)
+target = first_price_value(prime, alloc)
 print("optimal first-price value on the transform:", target)
 
 # Random Construction: mark bidders with fair coins, let unmarked winners

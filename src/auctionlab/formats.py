@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Sequence
 
-from .model import SKIP, Action, Assign, AuctionTrace, Instance
+from .model import Action, Assign, AuctionTrace, Instance
 
 
 def frac_str(value: Fraction | int | None) -> str:
@@ -175,17 +175,6 @@ def trace_to_doc(trace: AuctionTrace) -> dict:
         ],
         "total": trace.value,
     }
-
-
-def actions_from_trace_doc(doc: Mapping) -> list[Action]:
-    actions: list[Action] = []
-    for step in doc["steps"]:
-        raw = step["action"]
-        if raw == "skip":
-            actions.append(SKIP)
-        else:
-            actions.append(Assign(str(raw["first"]), str(raw["second"])))
-    return actions
 
 
 def matching_to_doc(matching) -> dict:

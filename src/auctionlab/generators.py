@@ -307,6 +307,7 @@ def perfect_matchable_2pm(
         while len(row) < 2:
             extra = [v for v in bidder_ids if v not in row]
             row.add(extra[rng.randrange(len(extra))])
-        for v in row:
-            bids[(u, v)] = 1
+        for v in bidder_ids:  # index order; set order varies with the hash seed
+            if v in row:
+                bids[(u, v)] = 1
     return Instance(keywords, tuple((v, 1) for v in bidder_ids), bids)

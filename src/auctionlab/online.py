@@ -3,10 +3,9 @@
 The driver reveals one keyword at a time: a policy sees only the arriving
 keyword's positive bids plus the current remaining budgets, so decisions
 can never depend on the future.  Policies carry per-run mutable state and
-are reset at the start of every run.  Randomized policies draw from their
-own seed when constructed with one, otherwise from the driver's seed;
-permutation and coin randomness come from separate sub-streams so one can
-be held fixed while the other is enumerated.
+are reset at the start of every run.  Randomized policies draw only from
+the driver's seed; permutation and coin randomness come from separate
+sub-streams so one can be held fixed while the other is enumerated.
 """
 
 from __future__ import annotations
@@ -139,14 +138,12 @@ class _Ranking(OnlinePolicy):
 
     kind = "matching"
 
-    def __init__(self, seed=None, sigma=None):
-        self._seed = seed
+    def __init__(self, sigma=None):
         self._sigma = sigma
         self.state = RankingState()
 
     def reset(self, bidder_ids, rng):
-        source = random.Random(self._seed) if self._seed is not None else rng
-        self.state = RankingState(_draw_rank(bidder_ids, source, self._sigma))
+        self.state = RankingState(_draw_rank(bidder_ids, rng, self._sigma))
 
     def choose(self, step, keyword, bids):
         avail = [v for v in bids if v not in self.state.matched]
@@ -157,13 +154,13 @@ class _Ranking(OnlinePolicy):
         return v
 
 
-def ranking_1p(seed: int | None = None, *, sigma: Sequence[str] | None = None) -> OnlinePolicy:
+def ranking_1p(*, sigma: Sequence[str] | None = None) -> OnlinePolicy:
     """Ranking for first-price matching; output is a Matching, not a trace.
 
     `sigma` fixes the priority permutation explicitly (highest first);
-    otherwise it is drawn from `seed`, falling back to the driver's seed.
+    otherwise it is drawn from the driver's seed.
     """
-    return _Ranking(seed, sigma)
+    return _Ranking(sigma)
 
 
 class _RankingSimulate(OnlinePolicy):
@@ -178,17 +175,15 @@ class _RankingSimulate(OnlinePolicy):
     match earns nothing and the trace records a skip.
     """
 
-    def __init__(self, seed=None, sigma=None, coins=None):
-        self._seed = seed
+    def __init__(self, sigma=None, coins=None):
         self._sigma = sigma
         self._coins = coins
         self.state = RankingState()
 
     def reset(self, bidder_ids, rng):
-        source = random.Random(self._seed) if self._seed is not None else rng
         # independent sub-streams: sigma first, coins after
-        sigma_rng = random.Random(source.getrandbits(64))
-        coin_rng = random.Random(source.getrandbits(64))
+        sigma_rng = random.Random(rng.getrandbits(64))
+        coin_rng = random.Random(rng.getrandbits(64))
         self.state = RankingState(_draw_rank(bidder_ids, sigma_rng, self._sigma))
         if self._coins is not None:
             stream = iter(self._coins)
@@ -229,13 +224,10 @@ class _RankingSimulate(OnlinePolicy):
 
 
 def ranking_simulate(
-    seed: int | None = None,
-    *,
-    sigma: Sequence[str] | None = None,
-    coins: Sequence[int] | None = None,
+    *, sigma: Sequence[str] | None = None, coins: Sequence[int] | None = None
 ) -> OnlinePolicy:
     """RankingSimulate policy; `sigma` and `coins` override the sub-streams."""
-    return _RankingSimulate(seed, sigma, coins)
+    return _RankingSimulate(sigma, coins)
 
 
 @dataclass(frozen=True)

@@ -49,22 +49,15 @@ class Matching:
     def __post_init__(self) -> None:
         pairs = dict(self.pairs)
         object.__setattr__(self, "pairs", pairs)
-        inverse: dict[str, str] = {}
-        for u, v in pairs.items():
-            if v in inverse:
+        seen: set[str] = set()
+        for v in pairs.values():
+            if v in seen:
                 raise ValueError(f"bidder {v!r} matched twice")
-            inverse[v] = u
-        object.__setattr__(self, "_inverse", inverse)
+            seen.add(v)
 
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def bidder_of(self, keyword: str) -> str | None:
-        return self.pairs.get(keyword)
-
-    def keyword_of(self, bidder: str) -> str | None:
-        return self._inverse.get(bidder)  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)

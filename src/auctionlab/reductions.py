@@ -351,44 +351,28 @@ def to_first_price_bids(instance: Instance) -> Instance:
     return Instance(instance.keywords, instance.bidders, bids)
 
 
-@dataclass(frozen=True)
-class FirstPriceAllocation:
-    """Per-keyword winner assignment, in arrival order (winners may repeat)."""
-
-    winners: tuple[tuple[str, str], ...]
-
-    @property
-    def winner_of(self) -> dict[str, str]:
-        return dict(self.winners)
-
-    @classmethod
-    def from_mapping(cls, instance: Instance, mapping: Mapping[str, str]):
-        return cls(tuple((u, mapping[u]) for u in instance.keywords if u in mapping))
-
-
-def _as_allocation(instance: Instance, alloc) -> FirstPriceAllocation:
-    if isinstance(alloc, FirstPriceAllocation):
-        return alloc
-    return FirstPriceAllocation.from_mapping(instance, dict(alloc))
-
-
-def normalize_first_price(instance: Instance, alloc) -> FirstPriceAllocation:
+def normalize_first_price(instance: Instance, winners: Mapping[str, str]) -> dict[str, str]:
     """Drop each bidder's allocations from the point its budget is exhausted.
 
-    Keeps a keyword iff the bidder's bid-sum over earlier kept keywords is
-    still strictly below its budget; the first-price value is unchanged
-    because dropped keywords could only ever pay the leftover sliver.
-    `instance` must be the transformed (first-price) instance.
+    `winners` maps keywords to first-price winners (the shape of
+    `opt_1paa`'s witness); the kept entries come back as a new mapping in
+    arrival order.  Keeps a keyword iff the bidder's bid-sum over earlier
+    kept keywords is still strictly below its budget; the first-price
+    value is unchanged because dropped keywords could only ever pay the
+    leftover sliver.  `instance` must be the transformed (first-price)
+    instance.
     """
-    allocation = _as_allocation(instance, alloc)
     spent: dict[str, int] = {}
-    kept = []
-    for u, v in allocation.winners:
+    kept: dict[str, str] = {}
+    for u in instance.keywords:
+        v = winners.get(u)
+        if v is None:
+            continue
         before = spent.get(v, 0)
         if before < instance.budget_of(v):
-            kept.append((u, v))
+            kept[u] = v
             spent[v] = before + instance.bid(u, v)
-    return FirstPriceAllocation(tuple(kept))
+    return kept
 
 
 def resolve_second_bidder(instance: Instance, keyword: str, bidder: str) -> str:
@@ -408,13 +392,14 @@ def resolve_second_bidder(instance: Instance, keyword: str, bidder: str) -> str:
 
 def random_construction(
     instance: Instance,
-    alloc,
+    winners: Mapping[str, str],
     seed: int | None = None,
     *,
     marked: Iterable[str] | None = None,
 ) -> AuctionTrace:
     """Turn a first-price allocation into a feasible second-price trace.
 
+    `winners` maps keywords to first-price winners, read in arrival order.
     Marks each bidder with probability 1/2 (bidder-index order; `marked`
     overrides the coin stream).  For every unmarked winner v, the keywords
     whose resolved second bidder is marked form S_v in arrival order: all
@@ -423,8 +408,6 @@ def random_construction(
     taken keyword charges exactly its transformed bid, so the expected
     value is at least one eighth of the allocation's first-price value.
     """
-    allocation = _as_allocation(instance, alloc)
-
     if marked is None:
         rng = random.Random(seed)
         mark = {v for v in instance.bidder_ids if rng.getrandbits(1)}
@@ -433,8 +416,9 @@ def random_construction(
 
     chosen: dict[str, Assign] = {}
     by_winner: dict[str, list[tuple[str, int, str]]] = {}
-    for u, v in allocation.winners:
-        if v in mark:
+    for u in instance.keywords:
+        v = winners.get(u)
+        if v is None or v in mark:
             continue
         second = resolve_second_bidder(instance, u, v)
         if second in mark:

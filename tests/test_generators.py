@@ -1,5 +1,10 @@
 """Instance families: the skip-gap gadget, adaptive adversary, chains, samplers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from auctionlab import (
@@ -107,7 +112,7 @@ def test_adversary_transcript_is_a_real_instance():
 
 def test_adversary_rejects_randomized_and_matching_policies():
     with pytest.raises(NonDeterministicPolicy):
-        adversary_vs_policy(ranking_1p(seed=0), 3)
+        adversary_vs_policy(ranking_1p(), 3)
     with pytest.raises(InvalidParams):
         adversary_vs_policy(greedy_2pm(), 0)
 
@@ -232,6 +237,28 @@ def test_perfect_matchable_has_a_perfect_matching():
         inst = perfect_matchable_2pm(6, 0.3, seed=seed)
         assert max_matching(inst).size == 6
         assert all(len(inst.neighbors(u)) >= 2 for u in inst.keywords)
+
+
+def test_perfect_matchable_bytes_do_not_depend_on_the_hash_seed():
+    # string hashing is salted per process, so set iteration order is not
+    # reproducible; the rendered instance must be
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "from auctionlab import perfect_matchable_2pm\n"
+        "from auctionlab.formats import instance_json\n"
+        "sys.stdout.write(instance_json(perfect_matchable_2pm(8, 0.3, seed=5)))\n"
+    )
+    outputs = []
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] and outputs.count(outputs[0]) == len(outputs)
 
 
 def test_perfect_matchable_rejects_tiny_sides():

@@ -58,3 +58,23 @@ def test_float_lint_catches_each_hazard():
     sample = "a = b / c\nd /= 2\ne = 0.5\nf = float(g)\nh = round(i)\nj = b // c\n"
     kinds = sorted(what for _, what in _float_hazards(ast.parse(sample)))
     assert kinds == ["float literal", "float() call", "round() call", "true division", "true division"]
+
+
+# the export list names exactly what the package binds publicly
+def test_export_list_has_no_duplicates():
+    import auctionlab
+
+    assert len(auctionlab.__all__) == len(set(auctionlab.__all__))
+
+
+def test_export_list_matches_the_public_names():
+    import types
+
+    import auctionlab
+
+    bound = {
+        name
+        for name, value in vars(auctionlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(auctionlab.__all__) == bound | {"__version__"}

@@ -168,7 +168,7 @@ def test_reverse_match_firsts_come_from_the_matching():
         trace = reverse_match(inst)
         for step in trace.steps:
             if isinstance(step.action, Assign):
-                assert step.action.first == f.bidder_of(step.keyword)
+                assert step.action.first == f.pairs[step.keyword]
 
 
 def test_reverse_match_trace_replays_identically():

@@ -59,10 +59,7 @@ def test_matching_rejects_reused_bidder():
 def test_matching_lookups():
     match = Matching({"u1": "a", "u2": "b"})
     assert match.size == 2
-    assert match.bidder_of("u1") == "a"
-    assert match.keyword_of("b") == "u2"
-    assert match.bidder_of("u9") is None
-    assert match.keyword_of("z") is None
+    assert match.pairs == {"u1": "a", "u2": "b"}
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from auctionlab import (
     Assign,
     BudgetState,
-    FirstPriceAllocation,
     Instance,
     InvalidParams,
     NotAPartition,
@@ -301,30 +300,54 @@ def test_normalize_drops_keywords_after_exhaustion():
     prime = _single_winner_prime((3, 3, 2), budget=5)
     alloc = {u: "A" for u in prime.keywords}
     kept = normalize_first_price(prime, alloc)
-    assert kept.winners == (("u1", "A"), ("u2", "A"))
-    assert first_price_value(prime, kept.winner_of) == first_price_value(prime, alloc)
+    assert list(kept.items()) == [("u1", "A"), ("u2", "A")]
+    assert first_price_value(prime, kept) == first_price_value(prime, alloc)
 
 
 def test_normalize_keeps_solvent_allocations():
     prime = _single_winner_prime((3, 1), budget=5)
     alloc = {u: "A" for u in prime.keywords}
     kept = normalize_first_price(prime, alloc)
-    assert kept.winners == (("u1", "A"), ("u2", "A"))
+    assert list(kept.items()) == [("u1", "A"), ("u2", "A")]
 
 
 def test_normalize_empty_allocation():
     prime = _single_winner_prime((3,), budget=5)
-    assert normalize_first_price(prime, {}).winners == ()
+    assert normalize_first_price(prime, {}) == {}
 
 
 def test_normalized_head_sums_stay_below_budget():
     prime = _single_winner_prime((4, 4, 4, 4), budget=9)
     kept = normalize_first_price(prime, {u: "A" for u in prime.keywords})
     spent = 0
-    for u, v in kept.winners:
+    for u, v in kept.items():
         assert spent < prime.budget_of(v)
         spent += prime.bid(u, v)
-    assert kept.winners == (("u1", "A"), ("u2", "A"), ("u3", "A"))
+    assert list(kept.items()) == [("u1", "A"), ("u2", "A"), ("u3", "A")]
+
+
+def test_winners_are_read_in_arrival_order_whatever_their_insertion_order():
+    inst = Instance(
+        ("u1", "u2", "u3"),
+        (("A", 5), ("B", 9)),
+        {(u, v): a for u in ("u1", "u2", "u3") for v, a in (("A", 4), ("B", 3))},
+    )
+    prime = to_first_price_bids(inst)
+    arrival = {u: "A" for u in inst.keywords}
+    reverse = {u: "A" for u in reversed(inst.keywords)}
+    assert list(reverse) != list(arrival)
+    kept = normalize_first_price(prime, reverse)
+    assert list(kept.items()) == [("u1", "A"), ("u2", "A")]
+    assert kept == normalize_first_price(prime, arrival)
+    backwards = dict(reversed(kept.items()))
+    for marked in ((), ("A",), ("B",), ("A", "B")):
+        trace = random_construction(inst, backwards, marked=marked)
+        assert trace == random_construction(inst, kept, marked=marked)
+    # budget 5 fits one transformed bid of 3: the head (u1) is taken
+    assert random_construction(inst, backwards, marked=("B",)).prices() == (3, 0, 0)
+    for seed in range(8):
+        trace = random_construction(inst, backwards, seed=seed)
+        assert trace == random_construction(inst, kept, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +431,7 @@ def test_construction_monte_carlo_reaches_an_eighth():
     prime = to_first_price_bids(inst)
     best = opt_1paa(prime)
     alloc = normalize_first_price(prime, best.witness)
-    assert first_price_value(prime, alloc.winner_of) == best.value
+    assert first_price_value(prime, alloc) == best.value
 
     values = [random_construction(inst, alloc, seed=s).value for s in range(400)]
     mean = statistics.fmean(values)
