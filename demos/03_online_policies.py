@@ -38,13 +38,17 @@ for sigma in itertools.permutations(("v1", "v2")):
     total += matched
 print("mean over permutations:", total / 2)
 
-# ranking_simulate runs Ranking on an imaginary 2-copy of the keyword
-# stream, flipping a coin per arrival to decide which copy is "real".
-# Forcing the coins makes single runs reproducible.
+# ranking_simulate runs Ranking (`policy.ranking`) on an imaginary 2-copy
+# of the keyword stream, flipping a coin per arrival to decide which
+# copy is "real": the real copy's bidder is matched, the other's is
+# reserved. Keywords with fewer than two bidders are skipped, since no
+# second bidder could ever pay. Forcing the coins makes single runs
+# reproducible.
 policy = ranking_simulate(sigma=("v1", "v2", "v3"), coins=(1, 0, 1))
 trace = run_online(cycle, policy)
 print("\nranking_simulate, forced coins:", trace.actions(), "-> value", trace.value)
-print("internally matched bidders:", sorted(policy.state.matched))
+print("matched (M):", sorted(policy.matched))
+print("reserved (R):", sorted(policy.ranking.matched - policy.matched))
 
 # The 2-copy instance itself, for comparison.
 doubled = left_k_copy(cycle, 2)

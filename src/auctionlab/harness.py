@@ -153,6 +153,9 @@ def _reverse_match_trial(params: dict, index: int, seed: int):
 
 
 def _reverse_match_violates(record: TrialRecord) -> bool:
+    # mf is the whole instance's matching; a thin keyword's match can never
+    # pay, so (mf + 1) // 2 is a valid floor only because random_2pm pads
+    # every keyword to two bidders
     mf = _descriptor_int(record.instance, "mf")
     return 2 * record.value < record.reference or record.value < (mf + 1) // 2
 

@@ -181,6 +181,18 @@ def unit_instance(
     return Instance(kws, tuple((v, 1) for v in bidders), bids)
 
 
+def _winner_pairs(instance: Instance, winners: Mapping[str, str]) -> list[tuple[str, str]]:
+    """A first-price allocation's (keyword, winner) pairs in arrival order.
+
+    Raises UnknownId for a keyword or a winner that is not in `instance`.
+    """
+    for u, v in winners.items():
+        if u not in instance._rows:  # type: ignore[attr-defined]
+            raise UnknownId(f"unknown keyword {u!r}")
+        instance.bidder_index(v)
+    return [(u, winners[u]) for u in instance.keywords if u in winners]
+
+
 @dataclass
 class BudgetState:
     """Remaining budgets during a run; `step` counts processed keywords."""

@@ -6,15 +6,18 @@ can never depend on the future.  Policies carry per-run mutable state and
 are reset at the start of every run.  Randomized policies draw only from
 the driver's seed; permutation and coin randomness come from separate
 sub-streams so one can be held fixed while the other is enumerated.
+RankingSimulate runs a Ranking policy, `policy.ranking`, on two copies of
+each keyword: `policy.ranking.matched` is M and R together, `policy.matched`
+is M.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import PolicyViolation
+from .errors import InvalidParams, PolicyViolation
 from .model import SKIP, Action, Assign, Instance, Skip, settle_all
 from .oracles import Matching
 
@@ -106,18 +109,6 @@ def first_available() -> OnlinePolicy:
     return _FirstAvailable()
 
 
-@dataclass
-class RankingState:
-    """Random permutation plus the matched/reserved bookkeeping sets."""
-
-    rank: dict[str, int] = field(default_factory=dict)
-    matched: set[str] = field(default_factory=set)
-    reserved: set[str] = field(default_factory=set)
-
-    def priority_order(self, candidates) -> list[str]:
-        return sorted(candidates, key=lambda v: self.rank[v])
-
-
 def _draw_rank(
     bidder_ids: Sequence[str],
     rng: random.Random,
@@ -134,24 +125,27 @@ def _draw_rank(
 
 
 class _Ranking(OnlinePolicy):
-    """First-price matching by a uniform random priority over bidders."""
+    """First-price matching by a uniform random priority `rank` (0 highest)."""
 
     kind = "matching"
 
     def __init__(self, sigma=None):
         self._sigma = sigma
-        self.state = RankingState()
+        self.rank: dict[str, int] = {}
+        self.matched: set[str] = set()
 
     def reset(self, bidder_ids, rng):
-        self.state = RankingState(_draw_rank(bidder_ids, rng, self._sigma))
+        self.rank = _draw_rank(bidder_ids, rng, self._sigma)
+        self.matched = set()
 
     def choose(self, step, keyword, bids):
-        avail = [v for v in bids if v not in self.state.matched]
-        if not avail:
-            return None
-        v = self.state.priority_order(avail)[0]
-        self.state.matched.add(v)
-        return v
+        matched, rank, best = self.matched, self.rank, None
+        for v in bids:
+            if v not in matched and (best is None or rank[v] < rank[best]):
+                best = v
+        if best is not None:
+            matched.add(best)
+        return best
 
 
 def ranking_1p(*, sigma: Sequence[str] | None = None) -> OnlinePolicy:
@@ -164,69 +158,57 @@ def ranking_1p(*, sigma: Sequence[str] | None = None) -> OnlinePolicy:
 
 
 class _RankingSimulate(OnlinePolicy):
-    """Two-sided randomized matcher for all-ones second-price instances.
+    """Ranking on two copies of each keyword, a fair coin choosing the real one.
 
-    Keeps matched (M) and reserved (R) sets.  Among neighbors outside
-    M and R: none -> skip; one -> fair coin between matching it and
-    reserving it; two or more -> the two priority-minimizing bidders,
-    a fair coin matching one and reserving the other.  A match charges 1
-    iff some distinct neighbor is outside M at that moment (reserved
-    bidders are unmatched, so they are eligible seconds); otherwise the
-    match earns nothing and the trace records a skip.
+    `ranking` (same `sigma`) chooses twice per arriving keyword: the two
+    highest-priority bidders outside M and R, which 2-copy Ranking gives
+    the keyword's two copies.  A coin matches one pick into `matched` (M)
+    and leaves the other reserved; a lone pick is matched or reserved.  So
+    R is `ranking.matched - matched`.  A keyword with fewer than two
+    bidders can never pay and is skipped before any pick or coin.  A match
+    charges 1 iff some other neighbor is outside M (reserved bidders are
+    eligible seconds); otherwise it earns nothing and records a skip.
     """
 
     def __init__(self, sigma=None, coins=None):
-        self._sigma = sigma
-        self._coins = coins
-        self.state = RankingState()
+        self._coins = None if coins is None else tuple(coins)
+        if self._coins is not None and any(c not in (0, 1) for c in self._coins):
+            raise InvalidParams(f"coins must be 0 or 1, got {coins!r}")
+        self.ranking = _Ranking(sigma)
+        self.matched: set[str] = set()
 
     def reset(self, bidder_ids, rng):
         # independent sub-streams: sigma first, coins after
-        sigma_rng = random.Random(rng.getrandbits(64))
+        self.ranking.reset(bidder_ids, random.Random(rng.getrandbits(64)))
         coin_rng = random.Random(rng.getrandbits(64))
-        self.state = RankingState(_draw_rank(bidder_ids, sigma_rng, self._sigma))
-        if self._coins is not None:
-            stream = iter(self._coins)
-
-            def flip() -> int:
-                try:
-                    return 1 if next(stream) else 0
-                except StopIteration:
-                    raise PolicyViolation("forced coin stream exhausted") from None
-
+        if self._coins is None:
+            self._flips = iter(lambda: coin_rng.getrandbits(1), None)
         else:
-
-            def flip() -> int:
-                return coin_rng.getrandbits(1)
-
-        self._flip = flip
+            self._flips = iter(self._coins)
+        self.matched = set()
 
     def decide(self, step, keyword, bids, budgets):
-        st = self.state
-        nbrs = list(bids)
-        fresh = [v for v in nbrs if v not in st.matched and v not in st.reserved]
-        if not fresh:
+        if len(bids) < 2:
             return SKIP
-        if len(fresh) == 1:
-            winner = fresh[0] if self._flip() else None
-            if winner is None:
-                st.reserved.add(fresh[0])
-                return SKIP
-        else:
-            v1, v2 = st.priority_order(fresh)[:2]
-            winner, standby = (v1, v2) if self._flip() else (v2, v1)
-            st.reserved.add(standby)
-        seconds = [v for v in nbrs if v != winner and v not in st.matched]
-        st.matched.add(winner)
-        if seconds:
-            return Assign(winner, seconds[0])
-        return SKIP
+        first = self.ranking.choose(step, keyword, bids)
+        if first is None:
+            return SKIP
+        second = self.ranking.choose(step, keyword, bids)
+        try:
+            winner = first if next(self._flips) else second
+        except StopIteration:
+            raise PolicyViolation("forced coin stream exhausted") from None
+        if winner is None:
+            return SKIP
+        self.matched.add(winner)
+        payer = next((v for v in bids if v not in self.matched), None)
+        return SKIP if payer is None else Assign(winner, payer)
 
 
 def ranking_simulate(
     *, sigma: Sequence[str] | None = None, coins: Sequence[int] | None = None
 ) -> OnlinePolicy:
-    """RankingSimulate policy; `sigma` and `coins` override the sub-streams."""
+    """RankingSimulate policy; `sigma` and `coins` (0s and 1s) override the sub-streams."""
     return _RankingSimulate(sigma, coins)
 
 

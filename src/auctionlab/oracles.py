@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-from .errors import InfeasibleTrace, InvalidParams, TooLarge, UnknownId
-from .model import SKIP, Assign, AuctionTrace, Instance, execute
+from .errors import InfeasibleTrace, InvalidParams, TooLarge
+from .model import SKIP, Assign, AuctionTrace, Instance, _winner_pairs, execute
 
 DEFAULT_NODE_LIMIT = 2_000_000
 
@@ -481,15 +481,13 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
 
 
 def first_price_value(instance: Instance, winners: Mapping[str, str]) -> int:
-    """Value of a first-price winner assignment: each pays min(bid, remaining)."""
+    """Value of a first-price winner assignment: each pays min(bid, remaining).
+
+    An unknown keyword or bidder raises UnknownId.
+    """
     rem = instance.initial_budgets()
     total = 0
-    for u in instance.keywords:
-        v = winners.get(u)
-        if v is None:
-            continue
-        if v not in rem:
-            raise UnknownId(f"unknown bidder {v!r}")
+    for u, v in _winner_pairs(instance, winners):
         price = min(instance.bid(u, v), rem[v])
         rem[v] -= price
         total += price

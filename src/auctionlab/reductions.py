@@ -27,6 +27,7 @@ from .model import (
     Assign,
     AuctionTrace,
     Instance,
+    _winner_pairs,
     execute,
     settle_all,
 )
@@ -360,14 +361,11 @@ def normalize_first_price(instance: Instance, winners: Mapping[str, str]) -> dic
     kept keywords is still strictly below its budget; the first-price
     value is unchanged because dropped keywords could only ever pay the
     leftover sliver.  `instance` must be the transformed (first-price)
-    instance.
+    instance; an unknown keyword or bidder raises UnknownId.
     """
     spent: dict[str, int] = {}
     kept: dict[str, str] = {}
-    for u in instance.keywords:
-        v = winners.get(u)
-        if v is None:
-            continue
+    for u, v in _winner_pairs(instance, winners):
         before = spent.get(v, 0)
         if before < instance.budget_of(v):
             kept[u] = v
@@ -401,7 +399,8 @@ def random_construction(
 
     `winners` maps keywords to first-price winners, read in arrival order.
     Marks each bidder with probability 1/2 (bidder-index order; `marked`
-    overrides the coin stream).  For every unmarked winner v, the keywords
+    overrides the coin stream).  A keyword or bidder that is not in the
+    instance raises UnknownId.  For every unmarked winner v, the keywords
     whose resolved second bidder is marked form S_v in arrival order: all
     of S_v is taken when its transformed bids fit the budget, otherwise
     the better of (everything but the last) and (the last alone).  Each
@@ -413,12 +412,13 @@ def random_construction(
         mark = {v for v in instance.bidder_ids if rng.getrandbits(1)}
     else:
         mark = set(marked)
+        for v in mark:
+            instance.bidder_index(v)  # UnknownId for a bidder not in the instance
 
     chosen: dict[str, Assign] = {}
     by_winner: dict[str, list[tuple[str, int, str]]] = {}
-    for u in instance.keywords:
-        v = winners.get(u)
-        if v is None or v in mark:
+    for u, v in _winner_pairs(instance, winners):
+        if v in mark:
             continue
         second = resolve_second_bidder(instance, u, v)
         if second in mark:

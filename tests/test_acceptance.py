@@ -164,9 +164,17 @@ def _coin_enumeration_probabilities(inst, sigma):
     for coins in itertools.product((0, 1), repeat=m):
         policy = ranking_simulate(sigma=sigma, coins=coins)
         run_online(inst, policy)
-        for v in policy.state.matched:
+        for v in policy.matched:
             hits[v] += 1
     return {v: Fraction(h, 2**m) for v, h in hits.items()}
+
+
+def _without_thin_keywords(inst):
+    """`inst` minus its keywords with fewer than two bidders, which never pay."""
+    rows = {u: list(inst.positive_bids(u)) for u in inst.keywords}
+    return unit_instance(
+        {u: row for u, row in rows.items() if len(row) >= 2}, bidders=inst.bidder_ids
+    )
 
 
 def test_criterion_6a_match_probability_halving_exhaustive():
@@ -180,7 +188,9 @@ def test_criterion_6a_match_probability_halving_exhaustive():
                 {f"u{i + 1}": list(row) for i, row in enumerate(chosen)},
                 bidders=bidders,
             )
-            doubled = left_k_copy(inst, 2).instance
+            # RankingSimulate skips thin keywords, so its reference is
+            # 2-copy Ranking on the instance without them
+            doubled = left_k_copy(_without_thin_keywords(inst), 2).instance
             for sigma in itertools.permutations(bidders):
                 two_copy = set(
                     run_online(doubled, ranking_1p(sigma=sigma)).pairs.values()
@@ -206,6 +216,42 @@ def test_criterion_6b_ranking_simulate_bound():
         6,
         f"(b) simulate mean {float(report.mean):.4f} >= "
         f"{float(report.bound):.4f} - 3se on 2000 seeds",
+        ok,
+    )
+
+
+def test_criterion_6c_ranking_simulate_exact_ratio_on_three_keywords():
+    # every labelled 0/1 instance with keywords u1..u3 and bidders a, b, c;
+    # a run reads at most three coins and leaves the spare ones unread, so
+    # each (sigma, coin sequence) path has weight 1/48 and E is exact
+    bidders = ("a", "b", "c")
+    rows = [c for r in range(4) for c in itertools.combinations(bidders, r)]
+    paths = list(
+        itertools.product(
+            itertools.permutations(bidders), itertools.product((0, 1), repeat=3)
+        )
+    )
+    checked, worst, ok = 0, None, True
+    for chosen in itertools.product(rows, repeat=3):
+        inst = unit_instance(
+            {f"u{i + 1}": list(row) for i, row in enumerate(chosen)}, bidders=bidders
+        )
+        opt = opt_2pm(inst).value
+        if opt == 0:
+            continue
+        total = sum(
+            run_online(inst, ranking_simulate(sigma=sigma, coins=coins)).value
+            for sigma, coins in paths
+        )
+        mean = Fraction(total, len(paths))
+        ok = ok and 5083 * mean >= 1000 * opt
+        worst = mean / opt if worst is None else min(worst, mean / opt)
+        checked += 1
+    ok = ok and checked == 448
+    _verdict(
+        6,
+        f"(c) exact E >= OPT / 5.083 on all {checked} three-keyword instances "
+        f"with OPT > 0 (worst E/OPT = {worst})",
         ok,
     )
 

@@ -1,6 +1,8 @@
 """Online driver and policies: greedy, ranking, two-sided simulation, k-copy."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,18 +11,22 @@ from auctionlab import (
     SKIP,
     Assign,
     Instance,
+    InvalidParams,
     Matching,
     OnlinePolicy,
     PolicyViolation,
     first_available,
     greedy_2pm,
     left_k_copy,
+    perfect_matchable_2pm,
+    random_2pm,
     ranking_1p,
     ranking_simulate,
     run_online,
     skip_all,
     unit_instance,
 )
+from auctionlab.formats import matching_to_doc, trace_to_doc
 
 
 def pair_instance():
@@ -177,13 +183,37 @@ def test_simulate_same_pair_twice_always_scores_one():
 
 
 def test_simulate_zero_profit_match_still_consumes_the_bidder():
-    inst = unit_instance({"u1": ["a"], "u2": ["a", "b"]})
-    policy = ranking_simulate(sigma=("a", "b"), coins=[1, 1])
+    inst = unit_instance({"u1": ["a", "b"], "u2": ["a", "c"]})
+    policy = ranking_simulate(sigma=("a", "b", "c"), coins=[1, 1])
     trace = run_online(inst, policy)
-    # both matches happen but neither has an unmatched second to charge
-    assert trace.value == 0
-    assert trace.actions() == (SKIP, SKIP)
-    assert policy.state.matched == {"a", "b"}
+    # u2's only pick c is matched, but its other bidder a is already in M
+    assert trace.actions() == (Assign("a", "b"), SKIP)
+    assert trace.value == 1
+    assert policy.matched == {"a", "c"}
+    assert policy.ranking.matched - policy.matched == {"b"}
+
+
+def test_simulate_skips_keywords_with_fewer_than_two_bidders():
+    # before thin keywords were skipped, u1 and u2 spent b and a for nothing
+    inst = unit_instance({"u1": ["b"], "u2": ["a"], "u3": ["a", "b"]})
+    for sigma in itertools.permutations(("a", "b")):
+        for coins in itertools.product((0, 1), repeat=3):
+            assert run_online(inst, ranking_simulate(sigma=sigma, coins=coins)).value == 1
+
+
+def test_simulate_one_bidder_keywords_do_not_spend_their_bidders():
+    pairs = [(f"a{i}", f"b{i}") for i in range(4)]
+    adjacency = {f"solo-{v}": [v] for pair in pairs for v in pair}
+    adjacency.update({f"pair{i}": list(pair) for i, pair in enumerate(pairs)})
+    inst = unit_instance(adjacency)
+    for seed in range(200):
+        assert run_online(inst, ranking_simulate(), seed=seed).value == 4
+
+
+def test_simulate_rejects_coins_other_than_zero_and_one():
+    for coins in ([2, 7, 5], [1, -1], [0, 0.5]):
+        with pytest.raises(InvalidParams):
+            ranking_simulate(coins=coins)
 
 
 def test_simulate_matched_and_reserved_stay_disjoint():
@@ -193,7 +223,7 @@ def test_simulate_matched_and_reserved_stay_disjoint():
     for seed in range(30):
         policy = ranking_simulate()
         run_online(inst, policy, seed=seed)
-        assert not policy.state.matched & policy.state.reserved
+        assert policy.matched <= policy.ranking.matched
 
 
 def test_simulate_exhausted_coin_stream_is_an_error():
@@ -219,9 +249,17 @@ def _simulate_match_probabilities(inst, sigma):
     for coins in itertools.product((0, 1), repeat=m):
         policy = ranking_simulate(sigma=sigma, coins=coins)
         run_online(inst, policy)
-        for v in policy.state.matched:
+        for v in policy.matched:
             hits[v] += 1
     return {v: Fraction(h, 2**m) for v, h in hits.items()}
+
+
+def _without_thin_keywords(inst):
+    """`inst` minus its keywords with fewer than two bidders, which never pay."""
+    rows = {u: list(inst.positive_bids(u)) for u in inst.keywords}
+    return unit_instance(
+        {u: row for u, row in rows.items() if len(row) >= 2}, bidders=inst.bidder_ids
+    )
 
 
 def test_simulate_matches_each_bidder_half_as_often_as_two_copy_ranking():
@@ -231,7 +269,8 @@ def test_simulate_matches_each_bidder_half_as_often_as_two_copy_ranking():
         unit_instance({"u1": ["a"], "u2": ["a", "b"], "u3": ["b", "c"]}),
     ]
     for inst in instances:
-        doubled = left_k_copy(inst, 2).instance
+        # thin keywords are skipped, so the reference drops them
+        doubled = left_k_copy(_without_thin_keywords(inst), 2).instance
         for sigma in itertools.permutations(inst.bidder_ids):
             matched_2copy = set(
                 run_online(doubled, ranking_1p(sigma=sigma)).pairs.values()
@@ -240,6 +279,40 @@ def test_simulate_matches_each_bidder_half_as_often_as_two_copy_ranking():
             for v in inst.bidder_ids:
                 expected = Fraction(1, 2) if v in matched_2copy else Fraction(0)
                 assert probs[v] == expected, (inst, sigma, v)
+
+
+# SHA-256 of the newline-joined run documents over seeds 0..19, where each
+# run uses its seed as both instance seed and driver seed
+GOLDEN_RUNS = {
+    ("perfect_matchable_2pm", "ranking_simulate"):
+        "626b849a70204271c3f1af1fd2a7ae3d9a76203bf1683409f3ae21be798e66d7",
+    ("perfect_matchable_2pm", "ranking_1p_two_copy"):
+        "9631ef6a3b0fcd67400ee760a07647852bf0271afe35c877b328a08fd8f4d432",
+    ("random_2pm", "ranking_simulate"):
+        "f02e1ea78908726ec687336700c6fd2a53b1da29cb3f6e93ba7226ff48ea83e6",
+    ("random_2pm", "ranking_1p_two_copy"):
+        "80d13e7095afd574488418ab9b523f2a4c8ff4c685b1b1488df0dcf4c2304277",
+}
+
+GOLDEN_FAMILIES = {
+    "perfect_matchable_2pm": lambda s: perfect_matchable_2pm(8, 0.3, seed=s),
+    "random_2pm": lambda s: random_2pm(12, 12, 0.3, seed=s),
+}
+
+
+@pytest.mark.parametrize("family, policy", sorted(GOLDEN_RUNS))
+def test_ranking_runs_match_golden_digests(family, policy):
+    docs = []
+    for s in range(20):
+        inst = GOLDEN_FAMILIES[family](s)
+        if policy == "ranking_simulate":
+            doc = trace_to_doc(run_online(inst, ranking_simulate(), seed=s))
+        else:
+            doubled = left_k_copy(inst, 2).instance
+            doc = matching_to_doc(run_online(doubled, ranking_1p(), seed=s))
+        docs.append(json.dumps(doc))
+    digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+    assert digest == GOLDEN_RUNS[family, policy]
 
 
 # ----------------------------------------------------------------------

@@ -380,6 +380,12 @@ def test_first_price_value_checks_ids_and_allows_gaps():
         first_price_value(inst, {"u": "Z"})
 
 
+def test_first_price_value_rejects_a_key_that_is_not_a_keyword():
+    inst = unit_instance({"u1": ["A", "B"], "u2": ["A", "B"]})
+    with pytest.raises(UnknownId, match="zz"):
+        first_price_value(inst, {"zz": "A", "u1": "A"})
+
+
 def test_second_price_opt_at_most_first_price_opt_of_transform():
     # charging the runner-up can never beat letting winners pay their own bids
     for seed in range(15):

@@ -14,6 +14,7 @@ from auctionlab import (
     Instance,
     InvalidParams,
     NotAPartition,
+    UnknownId,
     UnresolvableSecondBidder,
     execute,
     extract_vertex_cover,
@@ -311,6 +312,12 @@ def test_normalize_keeps_solvent_allocations():
     assert list(kept.items()) == [("u1", "A"), ("u2", "A")]
 
 
+def test_normalize_rejects_a_key_that_is_not_a_keyword():
+    prime = _single_winner_prime((3, 3), budget=5)
+    with pytest.raises(UnknownId, match="zz"):
+        normalize_first_price(prime, {"zz": "A", "u1": "A"})
+
+
 def test_normalize_empty_allocation():
     prime = _single_winner_prime((3,), budget=5)
     assert normalize_first_price(prime, {}) == {}
@@ -407,6 +414,17 @@ def test_construction_skips_marked_winners():
     inst = two_bidder_instance()
     trace = random_construction(inst, {"u1": "A", "u2": "A"}, marked=("A", "B"))
     assert trace.value == 0
+
+
+def test_construction_rejects_unknown_ids():
+    inst = two_bidder_instance()
+    with pytest.raises(UnknownId, match="zz"):
+        random_construction(inst, {"u1": "A"}, marked=["zz"])
+    with pytest.raises(UnknownId, match="zz"):
+        random_construction(inst, {"zz": "A", "u1": "A"}, seed=0)
+    for marked in ((), ("A",), ("B",), ("A", "B")):
+        with pytest.raises(UnknownId, match="Z"):
+            random_construction(inst, {"u1": "Z"}, marked=marked)
 
 
 def test_construction_is_seed_deterministic():
