@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import compress, repeat
 from types import MappingProxyType
 from typing import Sequence
 
@@ -223,6 +226,75 @@ def sample_chain(
 # random samplers
 
 
+# `random()` is N / 2**53 with N = (a >> 5) * 2**26 + (b >> 6) for the next
+# two 32-bit Mersenne Twister outputs a, b, and `getrandbits(32 * w)` returns
+# the next w outputs as one int, lowest first.  So a whole row of draws can be
+# taken in one call and decoded here, leaving the stream where the per-draw
+# calls leave it and giving the same values.
+
+
+@lru_cache(maxsize=64)
+def _bernoulli_classes(p: float) -> tuple[bytes, int]:
+    """Top-byte classes for `random() < p`, and the threshold T on N.
+
+    random() < p exactly when N < T = ceil(p * 2**53).  The top byte t of a
+    puts N in [t * 2**45, (t + 1) * 2**45): class 1 is a sure hit, 0 a sure
+    miss, and 2 the one byte value whose N must be decoded.
+    """
+    num, den = p.as_integer_ratio()
+    threshold = min(max(-(-num * 2**53 // den), 0), 2**53)
+    q, r = divmod(threshold, 2**45)
+    return bytes(1 if t < q else 2 if t == q and r else 0 for t in range(256)), threshold
+
+
+def _bernoulli_row(rng: random.Random, n: int, p: float) -> list[int]:
+    """The j < n at which n calls of `rng.random() < p` are true, ascending."""
+    classes, threshold = _bernoulli_classes(p)
+    raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+    flags = raw[3::8].translate(classes)  # the top byte of each draw's a
+    if (tie := flags.find(2)) >= 0:
+        flags = bytearray(flags)
+        while tie >= 0:
+            a, b = struct.unpack_from("<II", raw, 8 * tie)
+            flags[tie] = ((a >> 5) << 26 | b >> 6) < threshold
+            tie = flags.find(2, tie + 1)
+    if 8 * flags.count(1) >= n:
+        return list(compress(range(n), flags))
+    hits = []  # few hits: find them instead of walking every flag
+    j = flags.find(1)
+    while j >= 0:
+        hits.append(j)
+        j = flags.find(1, j + 1)
+    return hits
+
+
+def _uniform_row(rng: random.Random, count: int, width: int) -> list[int]:
+    """`[rng.randrange(width) for _ in range(count)]`, from the same outputs.
+
+    randrange tries the top k = width.bit_length() bits of one output (for
+    k > 32, ceil(k / 32) outputs, lowest first, the last cut to its top bits)
+    until the value is below width.  Each batch makes one try per value still
+    needed, so it takes no output the per-draw calls would not take.
+    """
+    k = width.bit_length()
+    words = -(-k // 32)
+    low = 32 * (words - 1)  # bits taken whole from the lower outputs
+    drop = 32 * words - k  # bits cut from the last output
+    values: list[int] = []
+    while (need := count - len(values)) > 0:
+        raw = rng.getrandbits(32 * words * need).to_bytes(4 * words * need, "little")
+        if words == 1:
+            tries = [w >> drop for w in struct.unpack(f"<{need}I", raw)]
+        else:
+            step = 4 * words
+            tries = []
+            for i in range(0, len(raw), step):
+                x = int.from_bytes(raw[i : i + step], "little")
+                tries.append((x >> low + drop) << low | x & ((1 << low) - 1))
+        values += [x for x in tries if x < width]
+    return values
+
+
 def random_2pm(
     num_keywords: int,
     num_bidders: int,
@@ -243,12 +315,15 @@ def random_2pm(
     bidder_ids = tuple(f"v{j}" for j in range(1, num_bidders + 1))
     bids: dict[tuple[str, str], int] = {}
     for u in keywords:
-        row = [v for v in bidder_ids if rng.random() < edge_probability]
+        row = _bernoulli_row(rng, num_bidders, edge_probability)
         while len(row) < 2:
-            extra = [v for v in bidder_ids if v not in row]
-            row.append(extra[rng.randrange(len(extra))])
-        for v in row:
-            bids[(u, v)] = 1
+            # the r-th bidder not in the row, in index order
+            r = rng.randrange(num_bidders - len(row))
+            for j in sorted(row):
+                r += j <= r
+            row.append(r)
+        for j in row:
+            bids[(u, bidder_ids[j])] = 1
     return Instance(keywords, tuple((v, 1) for v in bidder_ids), bids)
 
 
@@ -271,15 +346,17 @@ def random_2paa(
     rng = random.Random(seed)
     keywords = tuple(f"u{i}" for i in range(1, num_keywords + 1))
     bidder_ids = tuple(f"v{j}" for j in range(1, num_bidders + 1))
+    n = num_bidders
+    # randint(0, max_bid) for each (keyword, bidder), keyword-major
+    amounts = _uniform_row(rng, num_keywords * n, max_bid + 1)
     bids: dict[tuple[str, str], int] = {}
-    top: dict[str, int] = {}
-    for u in keywords:
-        for v in bidder_ids:
-            amount = rng.randint(0, max_bid)
-            if amount > 0:
-                bids[(u, v)] = amount
-                top[v] = max(top.get(v, 0), amount)
-    bidders = tuple((v, target_r_min * max(top.get(v, 0), 1)) for v in bidder_ids)
+    for i, u in enumerate(keywords):
+        row = amounts[i * n : (i + 1) * n]
+        bids.update(zip(compress(zip(repeat(u), bidder_ids), row), compress(row, row)))
+    bidders = tuple(
+        (v, target_r_min * max(max(amounts[j::n], default=0), 1))
+        for j, v in enumerate(bidder_ids)
+    )
     return Instance(keywords, bidders, bids)
 
 
@@ -303,6 +380,8 @@ def perfect_matchable_2pm(
     bids: dict[tuple[str, str], int] = {}
     for u, mate in zip(keywords, planted):
         row = {mate}
+        # one draw at a time: on rows this narrow (the suites use n <= 8) a
+        # bulk `_bernoulli_row` costs more than it saves
         row.update(v for v in bidder_ids if rng.random() < extra_edge_prob)
         while len(row) < 2:
             extra = [v for v in bidder_ids if v not in row]

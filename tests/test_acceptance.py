@@ -22,11 +22,15 @@ from auctionlab import (
     greedy_2pm,
     left_k_copy,
     max_matching,
+    normalize_first_price,
+    opt_1paa,
     opt_2paa,
     opt_2pm,
     partition_to_2paa,
     r_min,
+    random_2paa,
     random_2pm,
+    random_construction,
     ranking_1p,
     ranking_simulate,
     ranking_sum_bound,
@@ -34,6 +38,7 @@ from auctionlab import (
     run_experiment,
     run_online,
     sample_chain,
+    to_first_price_bids,
     unit_instance,
     vc_to_2pm,
     yes_strategy,
@@ -145,6 +150,34 @@ def test_criterion_4_partition_gadget():
     ok = ok and no.no_threshold == 64
     ok = ok and opt_2paa(no.instance).value < no.no_threshold
     _verdict(4, "yes replay hits 72 with checkpoints; no-instance optimum < 64", ok)
+
+
+def test_criterion_4_partition_gadget_exhaustive():
+    # every weight multiset over 1..4 with 2, 4 or 6 items, for c = 1 and 2
+    gadgets = yes = 0
+    ok = True
+    for size in (2, 4, 6):
+        for weights in itertools.combinations_with_replacement(range(1, 5), size):
+            balanced = any(
+                2 * sum(half) == sum(weights)
+                for half in itertools.combinations(weights, size // 2)
+            )
+            for c in (1, 2):
+                gadget = partition_to_2paa(weights, c)
+                value = opt_2paa(gadget.instance).value
+                gadgets += 1
+                yes += balanced
+                if balanced:
+                    ok = ok and value == gadget.yes_value
+                else:
+                    ok = ok and value < gadget.no_threshold
+    ok = ok and (gadgets, yes) == (258, 102)
+    _verdict(
+        4,
+        f"OPT = yes value exactly on the {yes} balanced of {gadgets} gadgets, "
+        "below the no threshold on the rest",
+        ok,
+    )
 
 
 def test_criterion_5_ranking_kcopy_bound():
@@ -300,6 +333,34 @@ def test_criterion_9_random_construction_eighth():
         9,
         f"construction mean {float(report.mean):.4f} >= "
         f"{float(report.bound):.4f} - 3se on 20000 seeds",
+        ok,
+    )
+
+
+def _construction_expectation(instance_seed: int) -> tuple[Fraction, Fraction]:
+    """E[random_construction] over every marking, and 1/8 of the first-price
+    optimum, on the random-construction suite's default instance shape."""
+    instance = random_2paa(5, 5, 9, 1, seed=instance_seed)
+    prime = to_first_price_bids(instance)
+    best = opt_1paa(prime)
+    alloc = normalize_first_price(prime, best.witness)
+    ids = instance.bidder_ids
+    total = sum(
+        random_construction(instance, alloc, marked=itertools.compress(ids, bits)).value
+        for bits in itertools.product((0, 1), repeat=len(ids))
+    )
+    return Fraction(total, 2 ** len(ids)), Fraction(best.value, 8)
+
+
+def test_criterion_9_random_construction_eighth_exact():
+    # each bidder is marked by a fair coin of its own, so the mean over all
+    # 2**5 markings is the expectation itself; the claim holds per instance
+    ok = _construction_expectation(0) == (Fraction(29, 4), Fraction(15, 4))
+    ok = ok and all(e >= target for e, target in map(_construction_expectation, range(20)))
+    _verdict(
+        9,
+        "construction E = 29/4 >= 15/4 exactly over all 32 markings; E >= 1/8 OPT "
+        "for instance seeds 0..19",
         ok,
     )
 

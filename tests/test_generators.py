@@ -1,8 +1,12 @@
 """Instance families: the skip-gap gadget, adaptive adversary, chains, samplers."""
 
+import hashlib
+import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,6 +35,8 @@ from auctionlab import (
     skip_all,
     validate,
 )
+from auctionlab.formats import instance_to_doc
+from auctionlab.generators import _bernoulli_row, _uniform_row
 from auctionlab.model import BudgetState
 
 # ----------------------------------------------------------------------
@@ -230,6 +236,89 @@ def test_random_2paa_reproducible_and_checked():
         random_2paa(5, 0, 7, 2, seed=0)
     with pytest.raises(InvalidParams):
         random_2paa(5, 3, 7, 0, seed=0)
+
+
+# SHA-256 of the newline-joined `instance_to_doc` JSON over seeds 0..N-1,
+# taken when the samplers still drew one random() or randint() per cell; the
+# row-at-a-time draws must reproduce every byte
+GOLDEN_SAMPLES = {
+    "random_2pm(2000, 2000, 0.002)": (
+        lambda s: random_2pm(2000, 2000, 0.002, seed=s), 2,
+        "eb89ddd1cee6800ee26cfb027588cb684c27545f28f35b08178b873123160a61",
+    ),
+    "random_2pm(12, 12, 0.3)": (
+        lambda s: random_2pm(12, 12, 0.3, seed=s), 50,
+        "87ccfca810ea219bdaeda20aebf8fa7dfdace70b943a7992e67d470d19d478ac",
+    ),
+    "random_2pm(40, 6, 0.05)": (  # pads most keywords
+        lambda s: random_2pm(40, 6, 0.05, seed=s), 20,
+        "fd790b2948653b83197bbec11c3dd64e7070c61757cbf1a52cdc2dbaa0c7ddb4",
+    ),
+    "random_2paa(300, 300, 9, 20)": (
+        lambda s: random_2paa(300, 300, 9, 20, seed=s), 2,
+        "9ddc2e63e5080f8e85f9b59089c53b5362b8e2b2672075d61ff6189dbefe20f3",
+    ),
+    "random_2paa(8, 5, 9, 2)": (
+        lambda s: random_2paa(8, 5, 9, 2, seed=s), 50,
+        "0f50adc503e13633d513479ec539a772c7529919644f08c6e19bc6678deef8ba",
+    ),
+    "random_2paa(6, 5, 0, 1)": (
+        lambda s: random_2paa(6, 5, 0, 1, seed=s), 10,
+        "f03eded541256f7dbe3b7b6b5ccf04444a5170c7cd0e068ad4795013e2728790",
+    ),
+    "random_2paa(6, 5, 2**40, 3)": (
+        lambda s: random_2paa(6, 5, 2**40, 3, seed=s), 10,
+        "641967b2eeeb4948b026a337412b68e780c37278c24a7a7070de59aff778bc9e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SAMPLES))
+def test_random_samplers_match_golden_digests(case):
+    make, seeds, digest = GOLDEN_SAMPLES[case]
+    docs = [json.dumps(instance_to_doc(make(s))) for s in range(seeds)]
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == digest
+
+
+# The bulk rows decode the interpreter's Mersenne Twister outputs themselves.
+# These tests compare them with the per-draw calls on a twin generator, so a
+# Python release that changes random(), randrange() or the word order of
+# getrandbits() fails here, not in a distant pin.
+
+_PROBABILITIES = (0, 1e-9, 2**-8, 0.002, 0.3, 2 / 3, 1 - 2**-53, 1, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("n", (1, 2, 12, 2000))
+@pytest.mark.parametrize("p", _PROBABILITIES, ids=repr)
+def test_bernoulli_row_takes_the_outputs_random_takes(p, n):
+    bulk, twin = random.Random(n), random.Random(n)
+    for _ in range(max(1, 4000 // n)):
+        assert _bernoulli_row(bulk, n, p) == [j for j in range(n) if twin.random() < p]
+        assert bulk.random() == twin.random()
+    assert bulk.getstate() == twin.getstate()
+
+
+def test_bernoulli_row_decides_a_draw_at_its_own_value():
+    # p equal to a draw misses it, p above it by 2**-53 or 2**-54 hits it;
+    # either threshold lies inside the draw's top byte, so the row must decode
+    # all 53 bits of that draw
+    for seed in range(40):
+        twin = random.Random(seed)
+        draws = [twin.random() for _ in range(12)]
+        for x in draws[::4]:
+            for p in (x, Fraction(x) + Fraction(1, 2**53), Fraction(x) + Fraction(1, 2**54)):
+                expected = [j for j, y in enumerate(draws) if y < p]
+                assert _bernoulli_row(random.Random(seed), 12, p) == expected
+
+
+@pytest.mark.parametrize("count", (0, 1, 2, 12, 2000))
+@pytest.mark.parametrize("width", (1, 2, 10, 2**31, 2**32, 2**32 + 1, 2**40))
+def test_uniform_row_takes_the_outputs_randrange_takes(width, count):
+    bulk, twin = random.Random(width), random.Random(width)
+    for _ in range(3):
+        assert _uniform_row(bulk, count, width) == [twin.randrange(width) for _ in range(count)]
+        assert bulk.random() == twin.random()
+    assert bulk.getstate() == twin.getstate()
 
 
 def test_perfect_matchable_has_a_perfect_matching():
