@@ -7,7 +7,11 @@ An instance file has one fixed layout, written by `instance_json` for
 `dump_instance` and for the CLI's `generate` and `reduce`: the JSON that
 `json.dump(instance_to_doc(instance), fp, indent=2)` writes (2-space indent,
 keys `keywords`, `bidders`, `bids` in that order, zero bids left out, ids
-ASCII-escaped), followed by a newline.
+ASCII-escaped), followed by a newline.  `dump_instance` writes it in pieces
+of PIECE_BIDS bids, after every id and amount has been encoded.
+`load_instance` parses a file once and keeps no per-bid object but the bid
+map's own entry; a document it cannot take that way, malformed ones included,
+is read by `instance_from_doc`, so the errors are that function's.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
-from typing import IO, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import Action, Assign, AuctionTrace, Instance
 
@@ -105,16 +110,22 @@ def instance_from_doc(doc: object) -> Instance:
 
 
 # The indent only matters for an id that json writes as a list (a tuple id);
-# instance_json indents such an id's later lines to the depth it sits at.
+# the writer indents such an id's later lines to the depth it sits at.
 _encode = json.JSONEncoder(indent=2).encode
 
+# Bid entries per piece of a written instance file, counted in instance.bids
+# with zero bids: enough to make the per-piece cost vanish, few enough that a
+# piece is a small part of a large file.
+PIECE_BIDS = 2048
 
-def instance_json(instance: Instance) -> str:
-    """The instance document as `json.dump(instance_to_doc(instance), fp,
-    indent=2)` writes it, followed by a newline.
 
-    Every distinct str id and int amount is encoded once.  An id json
-    cannot encode raises TypeError, as json.dump would.
+def _instance_pieces(instance: Instance) -> Iterator[str]:
+    """The instance file in pieces of up to PIECE_BIDS bids each.
+
+    Every id and amount is encoded before this returns, so what json.dump
+    would raise first (TypeError for an id json cannot encode, ValueError
+    for an int past the digit limit) is raised before there is a piece to
+    write.  Each distinct str id and int amount is encoded once.
     """
     ids: dict[str, str] = {}
     amounts: dict[int, str] = {}
@@ -137,24 +148,143 @@ def instance_json(instance: Instance) -> str:
         f'{field}"budget": {amount_text(b) or encode(b, field)}{item}}}'
         for v, b in instance.bidders
     ]
-    bids = [
-        f'{item}{{{field}"keyword": {id_text(u) or encode(u, field)},'
-        f'{field}"bidder": {id_text(v) or encode(v, field)},'
-        f'{field}"amount": {amount_text(a) or encode(a, field)}{item}}}'
-        for (u, v), a in instance.bids.items()
-        if a != 0
-    ]
-    lists = ["[" + ",".join(x) + "\n  ]" if x else "[]" for x in (keywords, bidders, bids)]
-    return '{\n  "keywords": %s,\n  "bidders": %s,\n  "bids": %s\n}\n' % tuple(lists)
+
+    bids = instance.bids
+    # When every bid is positive on a keyword and a bidder with a str id,
+    # encoded above, only an amount past the int digit limit can still fail,
+    # and a bid's text is three looked-up parts.
+    str_ids = not {*map(type, instance.keywords), *map(type, instance.bidder_ids)} - {str}
+    if str_ids and sum(map(len, map(instance.positive_bids, set(instance.keywords)))) == len(bids):
+        opens = {
+            u: f'{item}{{{field}"keyword": {ids[u]},{field}"bidder": ' for u in instance.keywords
+        }
+        mids = {v: f'{ids[v]},{field}"amount": ' for v, _ in instance.bidders}
+        closes = {a: f"{amount_text(a) or encode(a, field)}{item}}}" for a in set(bids.values())}
+
+        def render(chunk: Iterable) -> list[str]:
+            return [f"{opens[u]}{mids[v]}{closes[a]}" for (u, v), a in chunk]
+
+    else:
+
+        def entry(u: object, v: object, a: int) -> str:
+            return (
+                f'{item}{{{field}"keyword": {id_text(u) or encode(u, field)},'
+                f'{field}"bidder": {id_text(v) or encode(v, field)},'
+                f'{field}"amount": {amount_text(a) or encode(a, field)}{item}}}'
+            )
+
+        for (u, v), a in bids.items():  # encoded now, in document order
+            if a != 0:
+                entry(u, v, a)
+
+        def render(chunk: Iterable) -> list[str]:
+            return [entry(u, v, a) for (u, v), a in chunk if a != 0]
+
+    def pieces() -> Iterator[str]:
+        head = '{\n  "keywords": %s,\n  "bidders": %s,\n  "bids": ' % tuple(
+            "[" + ",".join(x) + "\n  ]" if x else "[]" for x in (keywords, bidders)
+        )
+        entries = iter(bids.items())
+        opening = "["
+        for _ in range(0, len(bids), PIECE_BIDS):
+            piece = render(islice(entries, PIECE_BIDS))
+            if piece:
+                yield head + opening + ",".join(piece)
+                head, opening = "", ","
+        yield head + ("[]" if opening == "[" else "\n  ]") + "\n}\n"
+
+    return pieces()
+
+
+def instance_json(instance: Instance) -> str:
+    """The instance document as `json.dump(instance_to_doc(instance), fp,
+    indent=2)` writes it, followed by a newline.
+
+    An id json cannot encode raises TypeError, as json.dump would.
+    """
+    return "".join(_instance_pieces(instance))
 
 
 def dump_instance(instance: Instance, fp: IO[str]) -> None:
-    """Write `instance_json(instance)`; nothing is written if an id cannot be encoded."""
-    fp.write(instance_json(instance))
+    """Write `instance_json(instance)` piece by piece; nothing is written if
+    an id or amount cannot be encoded."""
+    for piece in _instance_pieces(instance):
+        fp.write(piece)
+
+
+# What the loader's object hook returns for a bid entry it has stored.
+_STORED = object()
+
+
+def _direct_parts(
+    doc: object, bids: dict, share: Callable[[str, str], str]
+) -> tuple[tuple, tuple] | None:
+    """The keywords and bidders of a parsed instance file whose `bids` are
+    exactly the bid map the object hook stored, with shared ids; None for any
+    document that needs `instance_from_doc`'s checks.
+
+    The hook stores each (keyword, bidder) pair once and returns _STORED for
+    it, so a `bids` list of len(bids) entries, every one _STORED, leaves no
+    stored bid elsewhere: not in a keyword, a bidder, an unknown field or a
+    value json dropped for a repeated key.
+    """
+    if type(doc) is not dict:
+        return None
+    keywords, bidders, entries = doc.get("keywords"), doc.get("bidders"), doc.get("bids")
+    if not (type(keywords) is list and type(bidders) is list and type(entries) is list):
+        return None
+    if len(entries) != len(bids) or entries.count(_STORED) != len(bids):
+        return None
+    if {*map(type, keywords)} - {str}:
+        return None
+    pairs = []
+    for b in bidders:
+        if type(b) is not dict:
+            return None
+        v, budget = b.get("id"), b.get("budget")
+        if type(v) is not str or type(budget) is not int:
+            return None
+        pairs.append((share(v, v), budget))
+    return tuple(map(share, keywords, keywords)), tuple(pairs)
 
 
 def load_instance(fp: IO[str]) -> Instance:
-    return instance_from_doc(json.load(fp))
+    """Read an instance file: the Instance or the error `instance_from_doc`
+    gives for the same document.
+
+    The text is parsed once, and each bid entry with str ids and an int
+    amount goes straight into the bid map instead of staying a dict; equal
+    ids share one str.  Any other document (a duplicate pair, a non-str id,
+    a non-int amount or budget, a missing part, a bid entry outside `bids`)
+    is parsed again and goes through `instance_from_doc`.  A document
+    nested too deeply to parse raises ValueError.
+    """
+    text = fp.read()
+    ids: dict[str, str] = {}
+    bids: dict[tuple[str, str], int] = {}
+    share = ids.setdefault
+
+    def store(entry: dict) -> object:
+        if len(entry) == 3:
+            try:
+                u, v, a = entry["keyword"], entry["bidder"], entry["amount"]
+            except KeyError:
+                return entry
+            if type(u) is str and type(v) is str and type(a) is int:
+                key = (share(u, u), share(v, v))
+                if key not in bids:
+                    bids[key] = a
+                    return _STORED
+        return entry
+
+    try:
+        parts = _direct_parts(json.loads(text, object_hook=store), bids, share)
+        if parts is None:
+            return instance_from_doc(json.loads(text))
+    except RecursionError:  # from json, or from repr in an error message
+        raise ValueError("instance document is nested too deeply") from None
+    del text  # before the Instance is built, which lowers the peak
+    return Instance(*parts, bids)
 
 
 # ----------------------------------------------------------------------

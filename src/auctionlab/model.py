@@ -105,16 +105,16 @@ class Instance:
         object.__setattr__(self, "bids", bids)
         index = {v: i for i, (v, _) in enumerate(self.bidders)}
         object.__setattr__(self, "_index", index)
-        # per-keyword positive bids, in bidder-index order; indices are unique
-        # within a row, so sorting (index, bidder, amount) never compares ids
-        groups: dict[str, list[tuple[int, str, int]]] = {u: [] for u in self.keywords}
+        # per-keyword positive bids, in bidder-index order: filled in bid
+        # order, and only a row whose indices arrived out of order is sorted
+        rows: dict[str, dict[str, int]] = {u: {} for u in self.keywords}
         for (u, v), a in bids.items():
-            if a > 0 and u in groups and v in index:
-                groups[u].append((index[v], v, a))
-        rows = {}
-        for u, row in groups.items():
-            row.sort()
-            rows[u] = {v: a for _, v, a in row}
+            if a > 0 and u in rows and v in index:
+                rows[u][v] = a
+        for u, row in rows.items():
+            order = [*map(index.__getitem__, row)]
+            if order != sorted(order):
+                rows[u] = dict(sorted(row.items(), key=lambda item: index[item[0]]))
         object.__setattr__(self, "_rows", rows)
 
     # ------------------------------------------------------------------

@@ -559,3 +559,13 @@ def test_arbitrary_json_never_escapes_the_cli(doc):
         path.write_text(json.dumps(doc), encoding="utf-8")
         for command in FUZZED_COMMANDS:
             assert _exit_code(command + ["--input", str(path)]) in (0, 1, 2), command
+
+
+@pytest.mark.parametrize("command", FUZZED_COMMANDS, ids=" ".join)
+def test_too_deep_json_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(command + ["--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: instance document is nested too deeply\n"

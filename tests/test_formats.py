@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlab import SKIP, Assign, Instance, execute, max_matching, unit_instance
+from auctionlab import SKIP, Assign, Instance, execute, max_matching, random_2paa, unit_instance
 from auctionlab.formats import (
+    PIECE_BIDS,
     RECORD_FIELDS,
     dump_instance,
     frac_str,
@@ -344,3 +346,199 @@ def test_instance_from_doc_names_the_first_duplicate_before_a_later_malformed_en
         instance_from_doc(doc)
     assert str(got.value) == "duplicate bid entry for keyword 'u1', bidder 'A'"
     assert _outcome(instance_from_doc, doc) == _outcome(reference_from_doc, doc)
+
+
+# ----------------------------------------------------------------------
+# the loader's one-pass parse and the writer's pieces against the
+# reference paths: instance_from_doc on json.loads, and json.dump
+
+
+def _loaded(text):
+    return _outcome(lambda t: load_instance(io.StringIO(t)), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_docs())
+def test_load_instance_matches_instance_from_doc(doc):
+    assert _loaded(json.dumps(doc)) == _outcome(instance_from_doc, doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_instances())
+def test_load_instance_matches_instance_from_doc_on_written_files(inst):
+    # the text json writes for a tuple id or a NaN reads back as a list or a
+    # float, so the reference is instance_from_doc on the text read back
+    for text in (reference_text(inst), json.dumps(instance_to_doc(inst))):
+        assert _loaded(text) == _outcome(instance_from_doc, json.loads(text))
+
+
+_BID = {"keyword": "u1", "bidder": "B", "amount": 1}
+
+
+def _placed(where):
+    doc = instance_to_doc(sample_instance())
+    if where == "keyword":
+        doc["keywords"].append(dict(_BID))
+    elif where == "bidder entry":
+        doc["bidders"].append(dict(_BID))
+    elif where == "budget":
+        doc["bidders"][0]["budget"] = dict(_BID)
+    elif where == "amount":
+        doc["bids"][0]["amount"] = dict(_BID)
+    elif where == "root":
+        doc = dict(_BID)
+    elif where == "junk list":
+        doc["extra"] = [1, [dict(_BID)]]
+    elif where == "extra bidder field":
+        doc["bidders"][0]["note"] = dict(_BID)
+    elif where == "duplicate, then malformed":
+        doc["bids"] += [dict(_BID), {"keyword": "u1"}]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "where",
+    ["keyword", "bidder entry", "budget", "amount", "root", "junk list",
+     "extra bidder field", "duplicate, then malformed"],
+)
+def test_load_instance_agrees_on_a_bid_shaped_object_out_of_place(where):
+    doc = _placed(where)
+    assert _loaded(json.dumps(doc)) == _outcome(instance_from_doc, doc)
+    assert _loaded(json.dumps(doc, indent=2)) == _outcome(instance_from_doc, doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a bid-shaped object in a value json.loads drops for a repeated key
+        '{"keywords": [{"keyword": "u", "bidder": "A", "amount": 1}], "keywords": ["u"],'
+        ' "bidders": [{"id": "A", "budget": 1}], "bids": []}',
+        '{"keywords": ["u"], "bidders": [{"id": "A", "budget": 1}],'
+        ' "bids": [{"keyword": "u", "bidder": "A", "amount": 1}], "bids": []}',
+        '{"keywords": ["u"], "bidders": [{"id": "A", "budget": 1}], "bids": [],'
+        ' "bids": [{"keyword": "u", "bidder": "A", "amount": 1}]}',
+        # ... standing in for a junk entry, or ahead of its own pair in the bids
+        '{"keywords": [{"keyword": "u", "bidder": "B", "amount": 1}], "keywords": ["u"],'
+        ' "bidders": [{"id": "A", "budget": 1}, {"id": "B", "budget": 1}],'
+        ' "bids": [{"keyword": "u", "bidder": "A", "amount": 1}, 5]}',
+        '{"keywords": [{"keyword": "u", "bidder": "B", "amount": 9}], "keywords": ["u"],'
+        ' "bidders": [{"id": "A", "budget": 1}, {"id": "B", "budget": 1}],'
+        ' "bids": [{"keyword": "u", "bidder": "A", "amount": 1},'
+        ' {"keyword": "u", "bidder": "B", "amount": 1}]}',
+        # a repeated key inside a bid and inside a bidder
+        '{"keywords": ["u"], "bidders": [{"id": "A", "budget": 1, "budget": 2}],'
+        ' "bids": [{"keyword": "u", "bidder": "A", "amount": 1, "amount": 2}]}',
+        # escaped ids that read back equal to plain ones
+        '{"keywords": ["\\u0075"], "bidders": [{"id": "A", "budget": 1}],'
+        ' "bids": [{"keyword": "u", "bidder": "\\u0041", "amount": 1}]}',
+        '{"keywords": ["u"], "bidders": [{"id": "A", "budget": 1}],'
+        ' "bids": [{"keyword": "u", "bidder": "A", "amount": 1.0}]}',
+        '{"keywords": ["u"], "bidders": [{"id": "A", "budget": true}], "bids": []}',
+        '{"keywords": ["u"], "bidders": [{"id": "A", "budget": 1}]}',
+        '{"keywords": ["u"], "bidders": [{"id": "A", "budget": 1}], "bids": [] ',
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["dropped-keywords", "dropped-bids", "replaced-bids", "dropped-beside-junk",
+         "dropped-ahead", "repeated-field", "escaped-ids",
+         "float-amount", "bool-budget", "no-bids", "unterminated", "deep"],
+)
+def test_load_instance_agrees_on_raw_text(text):
+    try:
+        expected = _outcome(instance_from_doc, json.loads(text))
+    except RecursionError:
+        expected = "raised", "instance document is nested too deeply"
+    except ValueError as exc:  # a syntax error: json's own message
+        expected = "raised", str(exc)
+    assert _loaded(text) == expected
+
+
+def test_loaded_bid_keys_share_the_id_strings():
+    inst = sample_instance()
+    loaded = load_instance(io.StringIO(instance_json(inst)))
+    assert loaded == inst
+    keywords = {u: u for u in loaded.keywords}
+    bidders = {v: v for v in loaded.bidder_ids}
+    for u, v in loaded.bids:
+        assert u is keywords[u] and v is bidders[v]
+
+
+def _counted_instance(count, plain):
+    """`count` bids over 80 keywords and 80 bidders.  If `plain`, every bid
+    is positive on a known keyword and bidder; if not, some are zero and one
+    more names a bidder the instance lacks."""
+    side = 80
+    keywords = tuple(f"u{i}" for i in range(side))
+    bidders = tuple((f"v{j}", 9) for j in range(side))
+    bids = {}
+    for k in range(count):
+        bids[keywords[k % side], f"v{k // side}"] = 1 + k % 5 if plain or k % 7 else 0
+    if not plain and bids:
+        bids[keywords[0], "nobody"] = 3
+    inst = Instance(keywords, bidders, bids)
+    known = sum(len(inst.positive_bids(u)) for u in keywords)
+    assert (known == len(bids)) == plain or not bids
+    return inst
+
+
+class _Pieces(io.StringIO):
+    """A text buffer that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["plain", "odd"])
+@pytest.mark.parametrize(
+    "count", [0, 1, PIECE_BIDS - 1, PIECE_BIDS, PIECE_BIDS + 1, 3 * PIECE_BIDS + 5]
+)
+def test_dump_instance_pieces_join_to_the_json_module_text(count, plain):
+    inst = _counted_instance(count, plain)
+    buf = _Pieces()
+    dump_instance(inst, buf)
+    assert buf.getvalue() == reference_text(inst) == instance_json(inst)
+    assert buf.writes == 1 + -(-len(inst.bids) // PIECE_BIDS)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [frozenset("B"), 10**5000],
+    ids=["unencodable-id", "amount-past-the-digit-limit"],
+)
+def test_dump_instance_writes_nothing_when_the_last_bid_cannot_be_encoded(bad):
+    inst = _counted_instance(3 * PIECE_BIDS + 5, plain=True)
+    bids = dict(inst.bids)
+    if isinstance(bad, int):
+        bids[next(reversed(bids))] = bad
+    else:
+        bids[inst.keywords[-1], bad] = 1
+    inst = Instance(inst.keywords, inst.bidders, bids)
+    with pytest.raises((TypeError, ValueError)) as expected:
+        reference_text(inst)
+    buf = io.StringIO()
+    with pytest.raises(type(expected.value)) as got:
+        dump_instance(inst, buf)
+    assert str(got.value) == str(expected.value)
+    assert buf.getvalue() == ""
+
+
+def test_instance_files_are_written_and_read_in_little_more_memory_than_their_text(tmp_path):
+    inst = random_2paa(150, 150, 9, 2, seed=0)
+    path = tmp_path / "instance.json"
+    size = len(instance_json(inst))
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as fp:
+            dump_instance(inst, fp)
+        _, dump_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with open(path, "r", encoding="utf-8") as fp:
+            loaded = load_instance(fp)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == inst
+    assert dump_peak <= 2 * size, dump_peak / size
+    assert load_peak <= 3 * size, load_peak / size

@@ -413,3 +413,38 @@ def test_execute_invariants_on_random_legal_traces(seed):
 
     again = execute(inst, actions)
     assert again == trace
+
+
+def regrouped_rows(instance):
+    """The row table by the sort-per-row rule: each row's positive bids on
+    known ids regrouped as (bidder index, bidder, amount) and sorted."""
+    index = {v: i for i, (v, _) in enumerate(instance.bidders)}
+    groups = {u: [] for u in instance.keywords}
+    for (u, v), a in instance.bids.items():
+        if a > 0 and u in groups and v in index:
+            groups[u].append((index[v], v, a))
+    return {u: [(v, a) for _, v, a in sorted(row)] for u, row in groups.items()}
+
+
+_MANY_BIDDERS = st.sampled_from([f"v{i}" for i in range(9)])
+
+
+@st.composite
+def shuffled_parts(draw):
+    """Repeated keyword and bidder ids, bids on unknown ids (u3 and v8 may be
+    left out), zero and negative amounts, and bids inserted in any order."""
+    keywords = draw(st.lists(_KEYWORDS, max_size=6))
+    bidders = draw(st.lists(st.tuples(_MANY_BIDDERS, st.integers(1, 9)), max_size=9))
+    pairs = draw(st.lists(st.tuples(_KEYWORDS, _MANY_BIDDERS), unique=True, max_size=30))
+    amounts = draw(st.lists(st.integers(-2, 9), min_size=len(pairs), max_size=len(pairs)))
+    return keywords, bidders, dict(draw(st.permutations(list(zip(pairs, amounts)))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(shuffled_parts())
+def test_instance_rows_follow_the_sort_per_row_rule(parts):
+    inst = Instance(*parts)
+    expected = regrouped_rows(inst)
+    assert list(inst._rows) == list(expected)
+    for u, row in inst._rows.items():
+        assert list(row.items()) == expected[u]
