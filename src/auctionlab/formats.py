@@ -7,8 +7,8 @@ An instance file has one fixed layout, written by `instance_json` for
 `dump_instance` and for the CLI's `generate` and `reduce`: the JSON that
 `json.dump(instance_to_doc(instance), fp, indent=2)` writes (2-space indent,
 keys `keywords`, `bidders`, `bids` in that order, zero bids left out, ids
-ASCII-escaped), followed by a newline.  `dump_instance` writes it in pieces
-of PIECE_BIDS bids, after every id and amount has been encoded.
+ASCII-escaped), followed by a newline.  `dump_instance` streams it in pieces
+of bids, after every id and amount has been encoded.
 `load_instance` parses a file once and keeps no per-bid object but the bid
 map's own entry; a document it cannot take that way, malformed ones included,
 is read by `instance_from_doc`, so the errors are that function's.
@@ -20,7 +20,7 @@ import csv
 import json
 from fractions import Fraction
 from itertools import islice
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .model import Action, Assign, AuctionTrace, Instance
 
@@ -116,11 +116,11 @@ _encode = json.JSONEncoder(indent=2).encode
 # Bid entries per piece of a written instance file, counted in instance.bids
 # with zero bids: enough to make the per-piece cost vanish, few enough that a
 # piece is a small part of a large file.
-PIECE_BIDS = 2048
+_PIECE_BIDS = 2048
 
 
 def _instance_pieces(instance: Instance) -> Iterator[str]:
-    """The instance file in pieces of up to PIECE_BIDS bids each.
+    """The instance file in pieces of up to _PIECE_BIDS bids each.
 
     Every id and amount is encoded before this returns, so what json.dump
     would raise first (TypeError for an id json cannot encode, ValueError
@@ -150,35 +150,20 @@ def _instance_pieces(instance: Instance) -> Iterator[str]:
     ]
 
     bids = instance.bids
-    # When every bid is positive on a keyword and a bidder with a str id,
-    # encoded above, only an amount past the int digit limit can still fail,
-    # and a bid's text is three looked-up parts.
-    str_ids = not {*map(type, instance.keywords), *map(type, instance.bidder_ids)} - {str}
-    if str_ids and sum(map(len, map(instance.positive_bids, set(instance.keywords)))) == len(bids):
-        opens = {
-            u: f'{item}{{{field}"keyword": {ids[u]},{field}"bidder": ' for u in instance.keywords
-        }
-        mids = {v: f'{ids[v]},{field}"amount": ' for v, _ in instance.bidders}
-        closes = {a: f"{amount_text(a) or encode(a, field)}{item}}}" for a in set(bids.values())}
+    for (u, v), a in bids.items():  # encoded now, in document order
+        if a != 0:
+            id_text(u) or encode(u, field)
+            id_text(v) or encode(v, field)
+            amount_text(a) or encode(a, field)
 
-        def render(chunk: Iterable) -> list[str]:
-            return [f"{opens[u]}{mids[v]}{closes[a]}" for (u, v), a in chunk]
-
-    else:
-
-        def entry(u: object, v: object, a: int) -> str:
-            return (
-                f'{item}{{{field}"keyword": {id_text(u) or encode(u, field)},'
-                f'{field}"bidder": {id_text(v) or encode(v, field)},'
-                f'{field}"amount": {amount_text(a) or encode(a, field)}{item}}}'
-            )
-
-        for (u, v), a in bids.items():  # encoded now, in document order
-            if a != 0:
-                entry(u, v, a)
-
-        def render(chunk: Iterable) -> list[str]:
-            return [entry(u, v, a) for (u, v), a in chunk if a != 0]
+    def render(chunk: Iterable) -> list[str]:
+        return [
+            f'{item}{{{field}"keyword": {id_text(u) or encode(u, field)},'
+            f'{field}"bidder": {id_text(v) or encode(v, field)},'
+            f'{field}"amount": {amount_text(a) or encode(a, field)}{item}}}'
+            for (u, v), a in chunk
+            if a != 0
+        ]
 
     def pieces() -> Iterator[str]:
         head = '{\n  "keywords": %s,\n  "bidders": %s,\n  "bids": ' % tuple(
@@ -186,8 +171,8 @@ def _instance_pieces(instance: Instance) -> Iterator[str]:
         )
         entries = iter(bids.items())
         opening = "["
-        for _ in range(0, len(bids), PIECE_BIDS):
-            piece = render(islice(entries, PIECE_BIDS))
+        for _ in range(0, len(bids), _PIECE_BIDS):
+            piece = render(islice(entries, _PIECE_BIDS))
             if piece:
                 yield head + opening + ",".join(piece)
                 head, opening = "", ","
@@ -216,48 +201,18 @@ def dump_instance(instance: Instance, fp: IO[str]) -> None:
 _STORED = object()
 
 
-def _direct_parts(
-    doc: object, bids: dict, share: Callable[[str, str], str]
-) -> tuple[tuple, tuple] | None:
-    """The keywords and bidders of a parsed instance file whose `bids` are
-    exactly the bid map the object hook stored, with shared ids; None for any
-    document that needs `instance_from_doc`'s checks.
-
-    The hook stores each (keyword, bidder) pair once and returns _STORED for
-    it, so a `bids` list of len(bids) entries, every one _STORED, leaves no
-    stored bid elsewhere: not in a keyword, a bidder, an unknown field or a
-    value json dropped for a repeated key.
-    """
-    if type(doc) is not dict:
-        return None
-    keywords, bidders, entries = doc.get("keywords"), doc.get("bidders"), doc.get("bids")
-    if not (type(keywords) is list and type(bidders) is list and type(entries) is list):
-        return None
-    if len(entries) != len(bids) or entries.count(_STORED) != len(bids):
-        return None
-    if {*map(type, keywords)} - {str}:
-        return None
-    pairs = []
-    for b in bidders:
-        if type(b) is not dict:
-            return None
-        v, budget = b.get("id"), b.get("budget")
-        if type(v) is not str or type(budget) is not int:
-            return None
-        pairs.append((share(v, v), budget))
-    return tuple(map(share, keywords, keywords)), tuple(pairs)
-
-
 def load_instance(fp: IO[str]) -> Instance:
     """Read an instance file: the Instance or the error `instance_from_doc`
     gives for the same document.
 
     The text is parsed once, and each bid entry with str ids and an int
     amount goes straight into the bid map instead of staying a dict; equal
-    ids share one str.  Any other document (a duplicate pair, a non-str id,
-    a non-int amount or budget, a missing part, a bid entry outside `bids`)
-    is parsed again and goes through `instance_from_doc`.  A document
-    nested too deeply to parse raises ValueError.
+    ids share one str.  When every entry of `bids` was stored that way, only
+    the keywords and bidders go through `instance_from_doc`.  Any other
+    document (a duplicate pair, a non-str id, a non-int amount, a bid entry
+    outside `bids`, no `bids` list) is parsed again and goes through
+    `instance_from_doc` whole.  A document nested too deeply to parse raises
+    ValueError.
     """
     text = fp.read()
     ids: dict[str, str] = {}
@@ -278,13 +233,29 @@ def load_instance(fp: IO[str]) -> Instance:
         return entry
 
     try:
-        parts = _direct_parts(json.loads(text, object_hook=store), bids, share)
-        if parts is None:
+        doc = json.loads(text, object_hook=store)
+        # The hook returns _STORED once per stored pair, so a `bids` list of
+        # len(bids) entries, all _STORED, leaves no stored bid elsewhere: not
+        # in a keyword, a bidder, an unknown field or a value json dropped
+        # for a repeated key.  Such a document is `instance_from_doc`'s case
+        # of valid bids, whose keyword, bidder and budget checks come first.
+        entries = doc.get("bids") if type(doc) is dict else None
+        if not (
+            type(entries) is list
+            and len(entries) == len(bids)
+            and entries.count(_STORED) == len(bids)
+        ):
             return instance_from_doc(json.loads(text))
+        del text, entries  # before the Instances are built, which lowers the peak
+        head = instance_from_doc({k: doc[k] for k in ("keywords", "bidders") if k in doc})
     except RecursionError:  # from json, or from repr in an error message
         raise ValueError("instance document is nested too deeply") from None
-    del text  # before the Instance is built, which lowers the peak
-    return Instance(*parts, bids)
+    del doc
+    return Instance(
+        tuple(map(share, head.keywords, head.keywords)),
+        tuple((share(v, v), b) for v, b in head.bidders),
+        bids,
+    )
 
 
 # ----------------------------------------------------------------------
