@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -70,16 +71,15 @@ def _load_valid_instance(path: str):
     return instance if report.ok else None
 
 
+def _output(out: str | None):
+    """The `--out` file opened for writing, or stdout, as a context manager."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(doc: object, out: str | None) -> None:
-    _write(json.dumps(doc, indent=2) + "\n", out)
-
-
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+    text = json.dumps(doc, indent=2) + "\n"
+    with _output(out) as fp:
+        fp.write(text)
 
 
 def _result_doc(result) -> dict:
@@ -228,7 +228,8 @@ def _cmd_generate(args, parser) -> int:
             params["target_r_min"],
             seed=args.seed,
         )
-    _write(formats.instance_json(instance), args.out)
+    with _output(args.out) as fp:
+        formats.dump_instance(instance, fp)
     return 0
 
 
@@ -285,12 +286,15 @@ def _cmd_reduce(args, parser) -> int:
             vertices, edges = formats.read_edge_list(fp)
         gadget = vc_to_2pm(vertices, edges)
         roles = _vc_roles(gadget)
-    _write(formats.instance_json(gadget.instance), args.out)
+    with _output(args.out) as fp:
+        formats.dump_instance(gadget.instance, fp)
     _emit(roles, args.out + ".roles.json")
     return 0
 
 
 def _cmd_experiment(args, parser) -> int:
+    if args.format == "structured" and not args.out:
+        parser.error("--format structured needs --out")
     try:
         params = _parse_params(args.params)
         report, records = run_experiment(

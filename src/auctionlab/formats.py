@@ -3,12 +3,12 @@
 Money is serialized as bit-exact JSON integers; floats are rejected on read.
 Exact rationals are serialized as "p/q" strings.
 
-An instance file has one fixed layout, written by `instance_json` for
-`dump_instance` and for the CLI's `generate` and `reduce`: the JSON that
+An instance file has one fixed layout and one writer, `dump_instance`, which
+the CLI's `generate` and `reduce` stream through too: the JSON that
 `json.dump(instance_to_doc(instance), fp, indent=2)` writes (2-space indent,
 keys `keywords`, `bidders`, `bids` in that order, zero bids left out, ids
-ASCII-escaped), followed by a newline.  `dump_instance` streams it in pieces
-of bids, after every id and amount has been encoded.
+ASCII-escaped), followed by a newline, written in pieces of bids after every
+id and amount has been encoded.
 `load_instance` parses a file once and keeps no per-bid object but the bid
 map's own entry; a document it cannot take that way, malformed ones included,
 is read by `instance_from_doc`, so the errors are that function's.
@@ -20,7 +20,7 @@ import csv
 import json
 from fractions import Fraction
 from itertools import islice
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping
 
 from .model import Action, Assign, AuctionTrace, Instance
 
@@ -119,13 +119,15 @@ _encode = json.JSONEncoder(indent=2).encode
 _PIECE_BIDS = 2048
 
 
-def _instance_pieces(instance: Instance) -> Iterator[str]:
-    """The instance file in pieces of up to _PIECE_BIDS bids each.
+def dump_instance(instance: Instance, fp: IO[str]) -> None:
+    """Write the instance file: what `json.dump(instance_to_doc(instance), fp,
+    indent=2)` writes, followed by a newline, in pieces of up to _PIECE_BIDS
+    bids each.
 
-    Every id and amount is encoded before this returns, so what json.dump
+    Every id and amount is encoded before the first write, so what json.dump
     would raise first (TypeError for an id json cannot encode, ValueError
-    for an int past the digit limit) is raised before there is a piece to
-    write.  Each distinct str id and int amount is encoded once.
+    for an int past the digit limit) leaves nothing written.  Each distinct
+    str id and int amount is encoded once.
     """
     ids: dict[str, str] = {}
     amounts: dict[int, str] = {}
@@ -156,45 +158,23 @@ def _instance_pieces(instance: Instance) -> Iterator[str]:
             id_text(v) or encode(v, field)
             amount_text(a) or encode(a, field)
 
-    def render(chunk: Iterable) -> list[str]:
-        return [
+    head = '{\n  "keywords": %s,\n  "bidders": %s,\n  "bids": ' % tuple(
+        "[" + ",".join(x) + "\n  ]" if x else "[]" for x in (keywords, bidders)
+    )
+    entries = iter(bids.items())
+    opening = "["
+    for _ in range(0, len(bids), _PIECE_BIDS):
+        piece = [
             f'{item}{{{field}"keyword": {id_text(u) or encode(u, field)},'
             f'{field}"bidder": {id_text(v) or encode(v, field)},'
             f'{field}"amount": {amount_text(a) or encode(a, field)}{item}}}'
-            for (u, v), a in chunk
+            for (u, v), a in islice(entries, _PIECE_BIDS)
             if a != 0
         ]
-
-    def pieces() -> Iterator[str]:
-        head = '{\n  "keywords": %s,\n  "bidders": %s,\n  "bids": ' % tuple(
-            "[" + ",".join(x) + "\n  ]" if x else "[]" for x in (keywords, bidders)
-        )
-        entries = iter(bids.items())
-        opening = "["
-        for _ in range(0, len(bids), _PIECE_BIDS):
-            piece = render(islice(entries, _PIECE_BIDS))
-            if piece:
-                yield head + opening + ",".join(piece)
-                head, opening = "", ","
-        yield head + ("[]" if opening == "[" else "\n  ]") + "\n}\n"
-
-    return pieces()
-
-
-def instance_json(instance: Instance) -> str:
-    """The instance document as `json.dump(instance_to_doc(instance), fp,
-    indent=2)` writes it, followed by a newline.
-
-    An id json cannot encode raises TypeError, as json.dump would.
-    """
-    return "".join(_instance_pieces(instance))
-
-
-def dump_instance(instance: Instance, fp: IO[str]) -> None:
-    """Write `instance_json(instance)` piece by piece; nothing is written if
-    an id or amount cannot be encoded."""
-    for piece in _instance_pieces(instance):
-        fp.write(piece)
+        if piece:
+            fp.write(head + opening + ",".join(piece))
+            head, opening = "", ","
+    fp.write(head + ("[]" if opening == "[" else "\n  ]") + "\n}\n")
 
 
 # What the loader's object hook returns for a bid entry it has stored.

@@ -271,26 +271,19 @@ def _bernoulli_row(rng: random.Random, n: int, p: float) -> list[int]:
 def _uniform_row(rng: random.Random, count: int, width: int) -> list[int]:
     """`[rng.randrange(width) for _ in range(count)]`, from the same outputs.
 
-    randrange tries the top k = width.bit_length() bits of one output (for
-    k > 32, ceil(k / 32) outputs, lowest first, the last cut to its top bits)
-    until the value is below width.  Each batch makes one try per value still
-    needed, so it takes no output the per-draw calls would not take.
+    randrange tries the top k = width.bit_length() bits of one output until
+    the value is below width.  Each batch makes one try per value still
+    needed, so it takes no output the per-draw calls would not take.  A width
+    past 32 bits, which takes several outputs per try, is left to randrange.
     """
     k = width.bit_length()
-    words = -(-k // 32)
-    low = 32 * (words - 1)  # bits taken whole from the lower outputs
-    drop = 32 * words - k  # bits cut from the last output
+    if k > 32:
+        return [rng.randrange(width) for _ in range(count)]
+    drop = 32 - k  # bits cut from the output
     values: list[int] = []
     while (need := count - len(values)) > 0:
-        raw = rng.getrandbits(32 * words * need).to_bytes(4 * words * need, "little")
-        if words == 1:
-            tries = [w >> drop for w in struct.unpack(f"<{need}I", raw)]
-        else:
-            step = 4 * words
-            tries = []
-            for i in range(0, len(raw), step):
-                x = int.from_bytes(raw[i : i + step], "little")
-                tries.append((x >> low + drop) << low | x & ((1 << low) - 1))
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        tries = [w >> drop for w in struct.unpack(f"<{need}I", raw)]
         values += [x for x in tries if x < width]
     return values
 

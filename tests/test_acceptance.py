@@ -7,7 +7,10 @@ a failing criterion fails its test and prints a FAIL line.
 import itertools
 import math
 import random
+from contextlib import nullcontext
 from fractions import Fraction
+
+import pytest
 
 from auctionlab import (
     Assign,
@@ -76,6 +79,38 @@ def test_criterion_2_reverse_match_factor():
         2,
         f"half-matching guarantee on 1000 random instances (violations={violations})",
         violations == 0,
+    )
+
+
+def test_criterion_2_reverse_match_factor_exhaustive():
+    # every labelled 0/1 instance with keywords u0..u2 and bidders v0..v2;
+    # reverse_match drops keywords with fewer than two bidders, so its floor
+    # is half the matching over the others, not over the whole instance
+    bidders = ("v0", "v1", "v2")
+    rows = [c for r in range(4) for c in itertools.combinations(bidders, r)]
+    checked = floor_failures = whole_floor_failures = tight = 0
+    ok = True
+    for chosen in itertools.product(rows, repeat=3):
+        inst = unit_instance(
+            {f"u{i}": list(row) for i, row in enumerate(chosen)}, bidders=bidders
+        )
+        thin = any(len(row) < 2 for row in chosen)
+        with pytest.warns(UserWarning, match="fewer than two") if thin else nullcontext():
+            value = reverse_match(inst).value
+        opt = opt_2pm(inst).value
+        mf = max_matching(_without_thin_keywords(inst)).size
+        ok = ok and opt <= 2 * value
+        floor_failures += value < math.ceil(mf / 2)
+        whole_floor_failures += value < math.ceil(max_matching(inst).size / 2)
+        tight += opt == 2 * value > 0
+        checked += 1
+    ok = ok and (checked, floor_failures, whole_floor_failures, tight) == (512, 0, 144, 24)
+    _verdict(
+        2,
+        f"OPT <= 2 value and value >= half the two-bidder matching on all {checked} "
+        f"3x3 instances ({tight} tight; {whole_floor_failures} below half the whole "
+        "instance's matching)",
+        ok,
     )
 
 

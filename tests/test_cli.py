@@ -4,6 +4,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from auctionlab import (
 )
 from auctionlab.cli import main
 from auctionlab.formats import dump_instance, instance_from_doc, instance_to_doc, trace_to_doc
+from auctionlab.harness import format_report, run_experiment
 
 
 @pytest.fixture
@@ -269,6 +271,20 @@ def test_generate_and_reduce_files_are_the_reference_rendering(tmp_path, capsys)
     assert gadget.read_bytes() == expected.encode("ascii")
 
 
+def test_generate_writes_a_file_in_little_more_memory_than_its_text(tmp_path):
+    out = tmp_path / "paa.json"
+    params = "num_keywords=150,num_bidders=150,max_bid=9,target_r_min=2"
+    argv = ["generate", "--family", "random-2paa", "--seed", "0", "--params", params]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert peak <= 2.5 * size, peak / size
+
+
 def test_generate_randomized_families_require_seed(capsys):
     for family in ("chain", "random-2pm", "random-2paa"):
         with pytest.raises(SystemExit) as err:
@@ -401,6 +417,24 @@ def test_experiment_structured_output(tmp_path, capsys):
     assert doc["report"]["workers"] >= 1
     assert "pooled_from" in doc["report"]
     assert len(doc["records"]) == 6
+
+
+def test_experiment_structured_output_needs_out(capsys):
+    argv = ["experiment", "--suite", "adversary", "--seed", "0", "--params", "m_max=2"]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--format", "structured"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format structured needs --out" in captured.err
+
+
+def test_experiment_default_stdout_is_the_report_line_only(capsys):
+    argv = ["experiment", "--suite", "adversary", "--seed", "0", "--params", "m_max=2"]
+    report, _ = run_experiment("adversary", params={"m_max": "2"}, trials=1000, seed=0)
+    for extra in ([], ["--format", "csv"]):
+        assert main([*argv, *extra]) == 0
+        assert capsys.readouterr().out == format_report(report) + "\n"
 
 
 # ----------------------------------------------------------------------

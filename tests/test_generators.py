@@ -335,8 +335,8 @@ def test_perfect_matchable_bytes_do_not_depend_on_the_hash_seed():
     code = (
         "import sys\n"
         "from auctionlab import perfect_matchable_2pm\n"
-        "from auctionlab.formats import instance_json\n"
-        "sys.stdout.write(instance_json(perfect_matchable_2pm(8, 0.3, seed=5)))\n"
+        "from auctionlab.formats import dump_instance\n"
+        "dump_instance(perfect_matchable_2pm(8, 0.3, seed=5), sys.stdout)\n"
     )
     outputs = []
     for hash_seed in ("1", "2", "3"):
