@@ -12,7 +12,6 @@ from typing import Sequence
 from . import formats
 from .errors import AuctionError, InvalidParams
 from .generators import (
-    ChainVariant,
     adversary_vs_policy,
     gap_instance,
     random_2pm,
@@ -29,7 +28,7 @@ from .reductions import partition_to_2paa, vc_to_2pm
 _FAMILY_PARAMS = {
     "gap": {"c": 1, "k": 5},
     "adversary": {"policy": "greedy", "m": 5},
-    "chain": {"m": 9, "variant": "normal"},
+    "chain": {"m": 9},
     "random-2pm": {"num_keywords": 8, "num_bidders": 8, "edge_probability": 0.3},
     "random-2paa": {
         "num_keywords": 8,
@@ -71,9 +70,31 @@ def _load_valid_instance(path: str):
     return instance if report.ok else None
 
 
+class _OutFile:
+    """The `--out` file, created or truncated only at the first write, so a
+    command that fails before writing leaves no new file and an existing
+    one unchanged."""
+
+    def __init__(self, path: str) -> None:
+        self._path = path
+        self._fp = None
+
+    def write(self, text: str) -> int:
+        if self._fp is None:
+            self._fp = open(self._path, "w", encoding="utf-8")
+        return self._fp.write(text)
+
+    def tell(self) -> int:
+        return 0 if self._fp is None else self._fp.tell()
+
+    def close(self) -> None:
+        if self._fp is not None:
+            self._fp.close()
+
+
 def _output(out: str | None):
-    """The `--out` file opened for writing, or stdout, as a context manager."""
-    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+    """The `--out` file or stdout, as a context manager."""
+    return contextlib.closing(_OutFile(out)) if out else contextlib.nullcontext(sys.stdout)
 
 
 def _emit(doc: object, out: str | None) -> None:
@@ -208,11 +229,7 @@ def _cmd_generate(args, parser) -> int:
             parser.error(f"unknown policy {name!r}; choose from {', '.join(sorted(policies))}")
         instance = adversary_vs_policy(policies[name](), params["m"]).instance
     elif family == "chain":
-        try:
-            variant = ChainVariant(params["variant"])
-        except ValueError:
-            parser.error(f"unknown chain variant {params['variant']!r}")
-        instance = sample_chain(params["m"], variant, seed=args.seed).instance
+        instance = sample_chain(params["m"], seed=args.seed).instance
     elif family == "random-2pm":
         instance = random_2pm(
             params["num_keywords"],
@@ -286,9 +303,13 @@ def _cmd_reduce(args, parser) -> int:
             vertices, edges = formats.read_edge_list(fp)
         gadget = vc_to_2pm(vertices, edges)
         roles = _vc_roles(gadget)
+    # encoded before either file is written: the roles can hold a number
+    # past the digit limit when every instance amount is within it
+    roles_text = json.dumps(roles, indent=2) + "\n"
     with _output(args.out) as fp:
         formats.dump_instance(gadget.instance, fp)
-    _emit(roles, args.out + ".roles.json")
+    with _output(args.out + ".roles.json") as fp:
+        fp.write(roles_text)
     return 0
 
 

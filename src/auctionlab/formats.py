@@ -294,18 +294,7 @@ RECORD_FIELDS = ("suite", "trial", "seed", "instance", "value", "reference", "ra
 def records_to_csv(records: Iterable, fp: IO[str]) -> None:
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(RECORD_FIELDS)
-    for r in records:
-        writer.writerow(
-            [
-                r.suite,
-                r.trial,
-                r.seed,
-                r.instance,
-                "" if r.value is None else r.value,
-                frac_str(r.reference),
-                frac_str(r.ratio),
-            ]
-        )
+    writer.writerows(record_to_doc(r).values() for r in records)
 
 
 def record_to_doc(record) -> dict:

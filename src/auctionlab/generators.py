@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import compress, repeat
 from types import MappingProxyType
@@ -142,56 +141,41 @@ def adversary_vs_policy(policy: OnlinePolicy, m: int) -> AdversaryTranscript:
 # chain distribution
 
 
-class ChainVariant(Enum):
-    NORMAL = "normal"
-    RESTRICTED = "restricted"
-
-
 @dataclass(frozen=True)
 class ChainSample:
     """A chain draw: each keyword shares one endpoint with its successor.
 
-    `pairs` holds each keyword's two structural bidders; under RESTRICTED
-    one bidder of the first keyword is unavailable and places no bids.
-    `witness_actions` (NORMAL only) replays a perfect solution.
+    `pairs` holds each keyword's two bidders; `witness_actions` replays a
+    perfect solution.
     """
 
     instance: Instance
-    variant: ChainVariant
     coins: tuple[int, ...]
     pairs: tuple[tuple[str, str], ...]
-    unavailable: str | None
-    witness_actions: tuple[Action, ...] | None
+    witness_actions: tuple[Action, ...]
 
 
 def sample_chain(
     m: int,
-    variant: ChainVariant,
-    seed: int | None = None,
     *,
+    seed: int | None = None,
     coins: Sequence[int] | None = None,
 ) -> ChainSample:
     """Draw an m-keyword chain; successor keywords inherit a uniform endpoint.
 
     Keyword 1 sees two fresh bidders; keyword i+1 sees one uniformly chosen
-    bidder of keyword i plus one fresh bidder.  RESTRICTED marks one of the
-    first keyword's bidders (uniformly) unavailable: it stays listed but
-    places no bids.  `coins`, when given, are the m - 1 choices (0 or 1, the
-    index into keyword i's pair) used instead of drawn ones; the RESTRICTED
-    mark is still drawn from `seed`.
+    bidder of keyword i plus one fresh bidder.  `coins`, when given, are the
+    m - 1 choices (0 or 1, the index into keyword i's pair) used instead of
+    drawn ones.
     """
     if m < 1:
         raise InvalidParams(f"m must be >= 1, got {m}")
     if coins is not None and (len(coins) != m - 1 or any(c not in (0, 1) for c in coins)):
         raise InvalidParams(f"coins must be m - 1 = {m - 1} values of 0 or 1, got {coins!r}")
-    variant = ChainVariant(variant)
     rng = random.Random(seed)
 
-    unavailable: str | None = None
     drawn: list[int] = []
     pairs: list[tuple[str, str]] = [("b1", "b2")]
-    if variant is ChainVariant.RESTRICTED:
-        unavailable = pairs[0][rng.getrandbits(1)]
     for i in range(2, m + 1):
         coin = rng.getrandbits(1) if coins is None else int(coins[i - 2])
         drawn.append(coin)
@@ -199,27 +183,19 @@ def sample_chain(
 
     keywords = tuple(f"u{i}" for i in range(1, m + 1))
     bidder_ids = tuple(f"b{i}" for i in range(1, m + 2))
-    bids = {
-        (kw, v): 1
-        for kw, pair in zip(keywords, pairs)
-        for v in pair
-        if v != unavailable
-    }
+    bids = {(kw, v): 1 for kw, pair in zip(keywords, pairs) for v in pair}
     instance = Instance(keywords, tuple((v, 1) for v in bidder_ids), bids)
 
-    witness = None
-    if variant is ChainVariant.NORMAL:
-        actions: list[Action] = []
-        for i, pair in enumerate(pairs):
-            if i + 1 < len(pairs):
-                inherited = pairs[i + 1][0]
-                other = pair[1] if pair[0] == inherited else pair[0]
-                actions.append(Assign(other, inherited))
-            else:
-                actions.append(Assign(pair[1], pair[0]))
-        witness = tuple(actions)
+    actions: list[Action] = []
+    for i, pair in enumerate(pairs):
+        if i + 1 < len(pairs):
+            inherited = pairs[i + 1][0]
+            other = pair[1] if pair[0] == inherited else pair[0]
+            actions.append(Assign(other, inherited))
+        else:
+            actions.append(Assign(pair[1], pair[0]))
 
-    return ChainSample(instance, variant, tuple(drawn), tuple(pairs), unavailable, witness)
+    return ChainSample(instance, tuple(drawn), tuple(pairs), tuple(actions))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyStream, InvalidParams, TooLarge, UnknownSuite
 from .generators import (
-    ChainVariant,
     adversary_vs_policy,
     perfect_matchable_2pm,
     random_2pm,
@@ -136,7 +135,7 @@ def _simulate_trial(params: dict, index: int, seed: int):
 
 def _chain_trial(params: dict, index: int, seed: int):
     m = params["m"]
-    sample = sample_chain(m, ChainVariant.NORMAL, seed=seed)
+    sample = sample_chain(m, seed=seed)
     trace = run_online(sample.instance, greedy_2pm(), seed=seed)
     return f"chain m={m}", trace.value, Fraction(m + 1, 2)
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the PASS lines;
 a failing criterion fails its test and prints a FAIL line.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -13,10 +14,11 @@ from fractions import Fraction
 import pytest
 
 from auctionlab import (
+    SKIP,
     Assign,
     BudgetState,
-    ChainVariant,
     Instance,
+    OrderingViolation,
     effective_bid,
     execute,
     extract_vertex_cover,
@@ -340,8 +342,7 @@ def test_criterion_7_greedy_chain_expectation_exact():
     means = {
         m: Fraction(
             sum(
-                run_online(sample_chain(m, ChainVariant.NORMAL, coins=coins).instance,
-                           greedy_2pm()).value
+                run_online(sample_chain(m, coins=coins).instance, greedy_2pm()).value
                 for coins in itertools.product((0, 1), repeat=m - 1)
             ),
             2 ** (m - 1),
@@ -350,6 +351,77 @@ def test_criterion_7_greedy_chain_expectation_exact():
     }
     ok = all(mean == Fraction(m + 1, 2) for m, mean in means.items())
     _verdict(7, "chain greedy E = (m+1)/2 exactly over every coin sequence, m = 1..12", ok)
+
+
+def _chain_online_optimum(m: int) -> Fraction:
+    """The best expected value of any deterministic online algorithm on the
+    m-keyword chain.
+
+    Only the current pair's bidders bid again, and its fresh bidder is
+    uncharged, so the state is (keywords left, whether the inherited bidder
+    is charged).  A charged inherited bidder sets no price and can pay none;
+    from a free pair either bidder can be charged 1, and either way the next
+    keyword inherits a charged or a free bidder with probability 1/2.
+    """
+    free = charged = Fraction(0)
+    for _ in range(m):
+        average = (free + charged) / 2
+        free, charged = max(free, 1 + average), average
+    return free
+
+
+def _chain_expectimax(m: int) -> Fraction:
+    """The same optimum by expectimax over explicit coin histories, settling
+    Skip and both orders of each keyword's pair through BudgetState.settle.
+    Any other action charges 0 and changes no budget: a price needs a second
+    bidder with a positive bid and budget, and a first bidder at least as
+    high."""
+
+    @functools.lru_cache(maxsize=None)
+    def keyword(coins: tuple[int, ...]):
+        # keyword t's pair depends only on the first t coins
+        t = len(coins)
+        sample = sample_chain(m, coins=coins + (0,) * (m - 1 - t))
+        return sample.pairs[t], sample.instance.positive_bids(sample.instance.keywords[t])
+
+    def best(coins: tuple[int, ...], remaining: dict) -> Fraction:
+        t = len(coins)
+        (first, second), bids = keyword(coins)
+        values = []
+        for action in (SKIP, Assign(first, second), Assign(second, first)):
+            state = BudgetState(dict(remaining), t)
+            try:
+                value = Fraction(state.settle(bids, action))
+            except OrderingViolation:
+                continue
+            if t + 1 < m:
+                after = state.remaining
+                value += (best(coins + (0,), after) + best(coins + (1,), after)) / 2
+            values.append(value)
+        return max(values)
+
+    return best((), {f"b{i}": 1 for i in range(1, m + 2)})
+
+
+def test_criterion_7_no_online_algorithm_beats_half_on_the_chain():
+    sizes = (*range(1, 13), 20, 100, 400)
+    ok = all(_chain_online_optimum(m) == Fraction(m + 1, 2) for m in sizes)
+    ok = ok and all(_chain_expectimax(m) == _chain_online_optimum(m) for m in range(1, 7))
+    # OPT = m on every draw: each price is at most 1 and the witness earns m
+    for m in range(1, 11):
+        for coins in itertools.product((0, 1), repeat=m - 1):
+            sample = sample_chain(m, coins=coins)
+            ok = ok and execute(sample.instance, sample.witness_actions).value == m
+    # Yao's principle: a randomized online algorithm is a distribution over
+    # deterministic ones, so on this distribution E[ALG] <= (m+1)/2 = OPT * (m+1)/(2m)
+    _verdict(
+        7,
+        "no deterministic online algorithm earns more than (m+1)/2 on the chain "
+        "(DP for m = 1..12, 20, 100, 400; expectimax agrees for m = 1..6) while "
+        "OPT = m on every draw (m = 1..10), so every randomized online algorithm "
+        "has ratio >= 2m/(m+1), 800/401 at m = 400",
+        ok,
+    )
 
 
 def test_criterion_8_adversary_battery():

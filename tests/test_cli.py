@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, stdout shapes."""
 
+import hashlib
 import io
 import json
 import re
@@ -294,8 +295,43 @@ def test_generate_randomized_families_require_seed(capsys):
 
 def test_generate_chain_to_stdout(capsys):
     assert main(["generate", "--family", "chain", "--seed", "6"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert len(doc["keywords"]) == 9
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["keywords"]) == 9
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "b5d88d4e64655c72b452949d577d1998e0786653a987bb9195aec940e33e1449"
+    )
+
+
+def test_generate_chain_takes_only_m(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["generate", "--family", "chain", "--seed", "6", "--params", "variant=normal"])
+    assert err.value.code == 2
+    assert "family chain has no parameter 'variant'" in capsys.readouterr().err
+
+
+# numbers past int's 4300-digit str limit cannot be written; with 4297-digit
+# weights every gadget amount is within the limit but the roles' yes_value
+# is not
+_HUGE = "9" * 4000
+_UNWRITABLE = {
+    "generate": ["generate", "--family", "random-2paa", "--seed", "0",
+                 "--params", f"max_bid={_HUGE},target_r_min={_HUGE}"],
+    "reduce": ["reduce", "--from", "partition", "--weights", f"{'9' * 4299},1,1,1"],
+    "reduce-roles": ["reduce", "--from", "partition", "--weights", f"{'9' * 4297},1,1,1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNWRITABLE))
+@pytest.mark.parametrize("existing", [None, b"keep me\n"])
+def test_failed_write_leaves_out_as_it_was(tmp_path, capsys, command, existing):
+    out = tmp_path / "out.json"
+    if existing is not None:
+        out.write_bytes(existing)
+    assert main([*_UNWRITABLE[command], "--out", str(out)]) == 1
+    assert "exceeds the limit" in capsys.readouterr().err.lower()
+    assert list(tmp_path.iterdir()) == ([] if existing is None else [out])
+    if existing is not None:
+        assert out.read_bytes() == existing
 
 
 def test_generate_adversary_needs_no_seed(capsys):

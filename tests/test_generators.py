@@ -14,7 +14,6 @@ import pytest
 from auctionlab import (
     SKIP,
     Assign,
-    ChainVariant,
     InvalidParams,
     NonDeterministicPolicy,
     adversary_vs_policy,
@@ -128,7 +127,7 @@ def test_adversary_rejects_randomized_and_matching_policies():
 
 
 def test_chain_single_keyword():
-    sample = sample_chain(1, ChainVariant.NORMAL, seed=0)
+    sample = sample_chain(1, seed=0)
     assert sample.pairs == (("b1", "b2"),)
     assert sample.coins == ()
     assert run_online(sample.instance, greedy_2pm()).value == 1
@@ -136,14 +135,14 @@ def test_chain_single_keyword():
 
 def test_chain_witness_is_perfect():
     for seed in range(20):
-        sample = sample_chain(7, ChainVariant.NORMAL, seed=seed)
+        sample = sample_chain(7, seed=seed)
         trace = execute(sample.instance, sample.witness_actions)
         assert trace.value == sample.instance.m
         assert opt_2pm(sample.instance).value == sample.instance.m
 
 
 def test_chain_structure_links_consecutive_keywords():
-    sample = sample_chain(9, ChainVariant.NORMAL, seed=3)
+    sample = sample_chain(9, seed=3)
     for i in range(len(sample.pairs) - 1):
         inherited = sample.pairs[i + 1][0]
         assert inherited in sample.pairs[i]
@@ -153,45 +152,34 @@ def test_chain_structure_links_consecutive_keywords():
 
 
 def test_chain_is_seed_reproducible():
-    a = sample_chain(8, ChainVariant.NORMAL, seed=11)
-    b = sample_chain(8, ChainVariant.NORMAL, seed=11)
+    a = sample_chain(8, seed=11)
+    b = sample_chain(8, seed=11)
     assert a == b
-    c = sample_chain(8, ChainVariant.NORMAL, seed=12)
+    c = sample_chain(8, seed=12)
     assert a.coins != c.coins or a.pairs != c.pairs
 
 
 def test_chain_forced_coins_replay_a_seeded_draw():
     for seed in range(10):
-        for variant in ChainVariant:
-            drawn = sample_chain(6, variant, seed=seed)
-            assert sample_chain(6, variant, seed=seed, coins=drawn.coins) == drawn
-    sample = sample_chain(4, ChainVariant.NORMAL, coins=(1, 0, 1))
+        drawn = sample_chain(6, seed=seed)
+        assert sample_chain(6, seed=seed, coins=drawn.coins) == drawn
+    sample = sample_chain(4, coins=(1, 0, 1))
     assert sample.coins == (1, 0, 1)
     assert sample.pairs == (("b1", "b2"), ("b2", "b3"), ("b2", "b4"), ("b4", "b5"))
     for bad in ((0, 1), (0, 1, 1, 0), (0, 2, 1)):
         with pytest.raises(InvalidParams):
-            sample_chain(4, ChainVariant.NORMAL, coins=bad)
+            sample_chain(4, coins=bad)
 
 
-def test_restricted_chain_silences_one_first_pair_bidder():
-    seen = set()
-    for seed in range(20):
-        sample = sample_chain(5, ChainVariant.RESTRICTED, seed=seed)
-        assert sample.unavailable in sample.pairs[0]
-        seen.add(sample.unavailable)
-        assert sample.witness_actions is None
-        for (u, v) in sample.instance.bids:
-            assert v != sample.unavailable
-    assert seen == {"b1", "b2"}
-
-
-def test_chain_variant_accepts_plain_strings():
-    sample = sample_chain(3, "restricted", seed=0)
-    assert sample.variant is ChainVariant.RESTRICTED
-    with pytest.raises(ValueError):
-        sample_chain(3, "weird", seed=0)
+def test_chain_needs_a_keyword():
     with pytest.raises(InvalidParams):
-        sample_chain(0, ChainVariant.NORMAL, seed=0)
+        sample_chain(0, seed=0)
+
+
+def test_chain_seed_is_keyword_only():
+    # a second positional argument is refused, never taken as the seed
+    with pytest.raises(TypeError):
+        sample_chain(5, "restricted")
 
 
 # ----------------------------------------------------------------------

@@ -247,6 +247,40 @@ def test_opt_2pm_never_beats_half_of_two_matchings():
         assert opt_2pm(inst).value <= max_matching(inst).size
 
 
+def _every_2pm_value(inst):
+    """The best value of every action sequence that `execute` accepts, with
+    Skip or an ordered pair of the keyword's bidders per keyword; a pair with
+    a non-bidder charges nothing, like Skip, or is refused."""
+    moves = [
+        [SKIP] + [Assign(a, b) for a, b in itertools.permutations(inst.neighbors(u), 2)]
+        for u in inst.keywords
+    ]
+    best = 0
+    for actions in itertools.product(*moves):
+        try:
+            best = max(best, execute(inst, actions).value)
+        except OrderingViolation:
+            pass
+    return best
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_opt_2pm_matches_every_action_sequence_on_three_bidders(m):
+    # every 0/1 instance with m keywords and 3 bidders up to bidder
+    # relabeling: a multiset of 3 bidder columns, each a subset of keywords
+    bidders = ("a", "b", "c")
+    classes = list(itertools.combinations_with_replacement(range(1 << m), 3))
+    assert len(classes) == {3: 120, 4: 816}[m]
+    for columns in classes:
+        inst = unit_instance(
+            {f"u{i}": [v for v, col in zip(bidders, columns) if col >> i & 1] for i in range(m)},
+            bidders=bidders,
+        )
+        result = opt_2pm(inst)
+        assert result.value == _every_2pm_value(inst), columns
+        assert execute(inst, result.witness.actions()).value == result.value
+
+
 # ----------------------------------------------------------------------
 # opt_2paa
 
