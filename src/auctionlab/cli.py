@@ -41,6 +41,13 @@ _FAMILY_PARAMS = {
 _RANDOMIZED_FAMILIES = ("chain", "random-2pm", "random-2paa")
 
 
+def _quoted(text: str) -> str:
+    """repr(text), with the middle of a long text cut out so an error line stays short."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20] + '...' + text[-20:]!r} ({len(text)} characters)"
+
+
 def _parse_params(text: str | None) -> dict[str, str]:
     if not text:
         return {}
@@ -51,7 +58,7 @@ def _parse_params(text: str | None) -> dict[str, str]:
             continue
         key, sep, value = chunk.partition("=")
         if not sep or not key:
-            raise ValueError(f"bad parameter {chunk!r}, expected key=value")
+            raise ValueError(f"bad parameter {_quoted(chunk)}, expected key=value")
         out[key.strip()] = value.strip()
     return out
 
@@ -290,10 +297,12 @@ def _cmd_reduce(args, parser) -> int:
     if args.source == "partition":
         if not args.weights:
             parser.error("--weights is required for --from partition")
-        try:
-            weights = [int(w) for w in args.weights.split(",") if w.strip()]
-        except ValueError:
-            parser.error(f"--weights must be comma-separated integers, got {args.weights!r}")
+        weights = []
+        for item in filter(str.strip, args.weights.split(",")):
+            try:
+                weights.append(int(item))
+            except ValueError:
+                parser.error(f"--weights must be comma-separated integers, got {_quoted(item)}")
         gadget = partition_to_2paa(weights, args.c)
         roles = _partition_roles(gadget)
     else:

@@ -226,7 +226,7 @@ def left_k_copy(instance: Instance, k: int) -> LeftKCopy:
     Each copy keeps the original's bids; bidders and budgets are shared.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InvalidParams(f"k must be >= 1, got {k}")
     taken = set(instance.keywords)
     keywords: list[str] = []
     zeta: dict[str, str] = {}

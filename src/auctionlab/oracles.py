@@ -15,7 +15,9 @@ node is counted where a state is expanded, as in the plain recursive search.
 Each search also skips children that an exact upper bound shows cannot be
 strictly better than the best value found so far.  A choice is replaced only
 by a strictly better one, so values and witnesses are those of the unpruned
-search and node counts can only fall.
+search and node counts can only fall.  opt_2pm reads its second bound, the
+number of keywords that still have two uncharged neighbors, from counts its
+memo entries carry, so the bound costs O(1) per node.
 
 The budgeted searches clamp budgets to the bids still to come.  From
 keyword t on, a bidder is charged at most its own bid per keyword, so budget
@@ -243,6 +245,20 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
     ends the keyword's loop.  Exact because charging one more bidder never
     raises the optimum: every strategy legal with charged set C + {i} is
     legal with C.
+
+    Viable-keyword bound: a keyword is viable in a state when it has at
+    least two uncharged neighbors.  A state's optimum is at most its number
+    of viable keywords still to come, because each paying keyword charges
+    one neighbor and needs a second uncharged one, and charging only removes
+    neighbors.  The memo entry of a state at step t stores, beside the
+    value, `viable` (that count over keywords t and later), `once` (the
+    bidders in at least one viable keyword with exactly two uncharged
+    neighbors) and `twice` (those in at least two); a node derives its own
+    from its Skip child's in O(1).  Charging a bidder of the Skip child's
+    `once` (`twice`) leaves at least one (two) of those keywords with a
+    single neighbor, so the charged child has at most viable - 1 (viable -
+    2) viable keywords and, when Skip's value equals viable (viable - 1),
+    cannot beat Skip.  Such a child is not searched.
     """
     _require_unit(instance, "opt_2pm")
     nmask = [sum(1 << i for i in row) for row in _neighbor_rows(instance)]
@@ -253,35 +269,43 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
     for t in range(m - 1, -1, -1):
         future[t] = future[t + 1] | nmask[t]
 
-    # memos[t]: charged set & future[t] -> (value, bit of the charged bidder)
-    memos = _memos(m, 0)
+    # memos[t]: charged set & future[t] -> (value, viable, once, twice);
+    # choices[t]: the same key -> bit of the charged bidder, for states that charge
+    memos: list[dict] = [{} for _ in range(m)] + [{0: (0, 0, 0, 0)}]
+    choices: list[dict] = [{} for _ in range(m)]
     nodes = 0
 
-    def best(t: int, consumed: int) -> int:
+    def best(t: int, consumed: int) -> tuple[int, int, int, int]:
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise TooLarge(f"opt_2pm exceeded node limit {node_limit}")
         memo, fut = memos[t + 1], future[t + 1]
-        hit = memo.get(consumed & fut)
-        skip = hit[0] if hit is not None else best(t + 1, consumed)
-        value, choice = skip, None
+        entry = memo.get(consumed & fut) or best(t + 1, consumed)
         avail = nmask[t] & ~consumed
-        if avail & (avail - 1):  # at least two uncharged neighbors
-            while avail:
-                bit = avail & -avail
+        rest = avail & (avail - 1)
+        if rest:  # at least two uncharged neighbors
+            skip, viable, once, twice = entry
+            slack = viable - skip  # viable-keyword bound, see the docstring
+            tries = avail & ~(once if slack == 0 else twice if slack == 1 else 0)
+            value = skip
+            while tries:
+                bit = tries & -tries
                 child = consumed | bit
-                hit = memo.get(child & fut)
-                got = 1 + (hit[0] if hit is not None else best(t + 1, child))
-                if got > skip:
-                    value, choice = got, bit
+                if (memo.get(child & fut) or best(t + 1, child))[0] >= skip:  # 1 + it beats Skip
+                    value = skip + 1
+                    choices[t][consumed & future[t]] = bit
                     break
-                avail ^= bit
-        memos[t][consumed & future[t]] = (value, choice)
-        return value
+                tries ^= bit
+            if rest & (rest - 1):
+                entry = (value, viable + 1, once, twice)
+            else:  # exactly two
+                entry = (value, viable + 1, once | avail, twice | once & avail)
+        memos[t][consumed & future[t]] = entry
+        return entry
 
     try:
-        total = _search_root("opt_2pm", m, best, 0, 0) if m else 0
+        total = _search_root("opt_2pm", m, best, 0, 0)[0] if m else 0
     finally:
         del best  # the closure holds itself through this cell; free the tables with it
 
@@ -290,7 +314,7 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
     actions = []
     consumed = 0
     for t in range(m):
-        choice = memos[t][consumed & future[t]][1]
+        choice = choices[t].get(consumed & future[t])
         if choice is None:
             actions.append(SKIP)
         else:

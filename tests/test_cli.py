@@ -376,6 +376,25 @@ def test_reduce_partition_requires_weights():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--from", "partition", "--weights", f"{'9' * 4301},1,1,1", "--out", "y.json"],
+        ["generate", "--family", "gap", "--params", "x" * 5000],
+    ],
+    ids=["weights", "params"],
+)
+def test_usage_error_cuts_a_long_argument_short(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert len(message) < 200
+    assert message.endswith(("9' (4301 characters)", "x' (5000 characters), expected key=value"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reduce_vertex_cover_from_edge_list(tmp_path):
     graph = tmp_path / "graph.txt"
     graph.write_text("a b\nb c\na c\n")

@@ -344,7 +344,8 @@ def test_left_k_copy_renames_around_collisions():
 
 
 def test_left_k_copy_rejects_k_zero():
-    with pytest.raises(ValueError):
+    # InvalidParams, not ValueError, so callers catching AuctionError see it
+    with pytest.raises(InvalidParams, match="k must be >= 1, got 0"):
         left_k_copy(pair_instance(), 0)
 
 

@@ -264,6 +264,14 @@ def _every_2pm_value(inst):
     return best
 
 
+def _from_columns(m, bidders, columns):
+    """The 0/1 instance in which bidder j bids on keyword i when bit i of columns[j] is set."""
+    return unit_instance(
+        {f"u{i}": [v for v, col in zip(bidders, columns) if col >> i & 1] for i in range(m)},
+        bidders=bidders,
+    )
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_opt_2pm_matches_every_action_sequence_on_three_bidders(m):
     # every 0/1 instance with m keywords and 3 bidders up to bidder
@@ -272,10 +280,7 @@ def test_opt_2pm_matches_every_action_sequence_on_three_bidders(m):
     classes = list(itertools.combinations_with_replacement(range(1 << m), 3))
     assert len(classes) == {3: 120, 4: 816}[m]
     for columns in classes:
-        inst = unit_instance(
-            {f"u{i}": [v for v, col in zip(bidders, columns) if col >> i & 1] for i in range(m)},
-            bidders=bidders,
-        )
+        inst = _from_columns(m, bidders, columns)
         result = opt_2pm(inst)
         assert result.value == _every_2pm_value(inst), columns
         assert execute(inst, result.witness.actions()).value == result.value
@@ -651,7 +656,14 @@ def test_unpruned_searches_reproduce_the_node_counts_measured_before_pruning():
     counts = [search(make())[2] for search, (_, make) in zip(unpruned, NODE_INSTANCES)]
     assert counts == [4466, 2595, 8573]
     # and the bounds cut them to
-    assert [oracle(make()).stats.nodes for oracle, make in NODE_INSTANCES] == [1841, 938, 152]
+    assert [oracle(make()).stats.nodes for oracle, make in NODE_INSTANCES] == [1121, 938, 152]
+
+
+def test_viable_keyword_bound_halves_the_nodes_of_64_draws():
+    # 97,728 with only the bound that stops at 1 + Skip; dropping either
+    # case of the viable-keyword bound raises the total
+    total = sum(opt_2pm(random_2pm(12, 12, 0.3, seed=s)).stats.nodes for s in range(64))
+    assert total == 50_599
 
 
 @settings(max_examples=80, deadline=None)
@@ -662,6 +674,19 @@ def test_pruned_2pm_equals_unpruned_search(shape, p, seed):
     value, actions, nodes = _unpruned_2pm(inst)
     assert (result.value, result.witness.actions()) == (value, actions)
     assert result.stats.nodes <= nodes
+
+
+def test_pruned_2pm_equals_unpruned_search_on_every_4x4_class():
+    # every 0/1 instance with 4 keywords and 4 bidders up to bidder
+    # relabeling, as in the three-bidder test above
+    classes = list(itertools.combinations_with_replacement(range(16), 4))
+    assert len(classes) == 3876
+    for columns in classes:
+        inst = _from_columns(4, ("a", "b", "c", "d"), columns)
+        result = opt_2pm(inst)
+        value, actions, nodes = _unpruned_2pm(inst)
+        assert (result.value, result.witness.actions()) == (value, actions), columns
+        assert result.stats.nodes <= nodes, columns
 
 
 @settings(max_examples=120, deadline=None)
@@ -692,15 +717,35 @@ def test_pruned_auction_searches_equal_unpruned_search(shape, max_bid, r, seed, 
 # the lemmas the bounds rest on
 
 
+def _without_bids_of(inst, v):
+    bids = {(u, w): a for (u, w), a in inst.bids.items() if w != v}
+    return Instance(inst.keywords, inst.bidders, bids)
+
+
+def _keywords_with_two_bidders(inst):
+    return sum(1 for u in inst.keywords if len(inst.positive_bids(u)) >= 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 5))
 def test_dropping_a_bidders_bids_never_raises_opt_2pm(seed, k):
     # charging bidder v removes it from every later keyword
     inst = random_2pm(9, 6, 0.35, seed=seed)
-    v = inst.bidder_ids[k]
-    bids = {(u, w): a for (u, w), a in inst.bids.items() if w != v}
-    dropped = Instance(inst.keywords, inst.bidders, bids)
+    dropped = _without_bids_of(inst, inst.bidder_ids[k])
     assert opt_2pm(dropped).value <= opt_2pm(inst).value
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _shapes(10, 8, min_n=2), st.sampled_from([0.2, 0.35, 0.5]), st.integers(0, 10**6), st.data()
+)
+def test_opt_2pm_is_at_most_its_keywords_with_two_bidders(shape, p, seed, data):
+    # each paying keyword charges one bidder and needs a second uncharged one,
+    # so the viable-keyword bound holds at the root and after any charge
+    inst = random_2pm(*shape, p, seed=seed)
+    assert opt_2pm(inst).value <= _keywords_with_two_bidders(inst)
+    dropped = _without_bids_of(inst, data.draw(st.sampled_from(inst.bidder_ids)))
+    assert opt_2pm(dropped).value <= _keywords_with_two_bidders(dropped)
 
 
 @settings(max_examples=60, deadline=None)
