@@ -19,26 +19,41 @@ from .generators import (
     sample_chain,
 )
 from .harness import SUITES, _BATTERY, _merge_params, format_report, report_to_doc, run_experiment
-from .model import validate
+from .model import AuctionTrace, Instance, validate
 from .offline import reverse_match, top_c
 from .online import greedy_2pm, ranking_1p, ranking_simulate, left_k_copy, run_online
 from .oracles import DEFAULT_NODE_LIMIT, Matching, opt_1paa, opt_2paa, opt_2pm
 from .reductions import partition_to_2paa, vc_to_2pm
 
-_FAMILY_PARAMS = {
-    "gap": {"c": 1, "k": 5},
-    "adversary": {"policy": "greedy", "m": 5},
-    "chain": {"m": 9},
-    "random-2pm": {"num_keywords": 8, "num_bidders": 8, "edge_probability": 0.3},
-    "random-2paa": {
-        "num_keywords": 8,
-        "num_bidders": 5,
-        "max_bid": 9,
-        "target_r_min": 1,
-    },
+
+def _adversary(policy: str, m: int, seed: int | None) -> Instance:
+    policies = dict(_BATTERY)
+    if policy not in policies:
+        raise InvalidParams(f"unknown policy {policy!r}; choose from {', '.join(sorted(policies))}")
+    return adversary_vs_policy(policies[policy](), m).instance
+
+
+# family -> (default params, whether --seed is required, builder); the builder
+# takes the merged params and the seed as keyword arguments
+_FAMILIES = {
+    "gap": ({"c": 1, "k": 5}, False, lambda c, k, seed: gap_instance(c, k)),
+    # the adversary plays a policy of the harness battery, greedy by default
+    "adversary": ({"policy": _BATTERY[0][0], "m": 5}, False, _adversary),
+    "chain": ({"m": 9}, True, lambda m, seed: sample_chain(m, seed=seed).instance),
+    "random-2pm": (
+        {"num_keywords": 8, "num_bidders": 8, "edge_probability": 0.3}, True, random_2pm
+    ),
+    "random-2paa": (
+        {"num_keywords": 8, "num_bidders": 5, "max_bid": 9, "target_r_min": 1}, True, random_2paa
+    ),
 }
 
-_RANDOMIZED_FAMILIES = ("chain", "random-2pm", "random-2paa")
+# `solve --algorithm`: the online policies run through run_online, and the
+# offline algorithms with whether they take --c
+_POLICIES = {"greedy": greedy_2pm, "ranking": ranking_1p, "ranking-simulate": ranking_simulate}
+_OFFLINE = {"top-c": (top_c, True), "reverse-match": (reverse_match, False)}
+
+_ORACLES = {"2pm": opt_2pm, "2paa": opt_2paa, "1paa": opt_1paa}
 
 
 def _quoted(text: str) -> str:
@@ -63,18 +78,14 @@ def _parse_params(text: str | None) -> dict[str, str]:
     return out
 
 
-def _load_instance(path: str):
+def _checked_instance(path: str):
+    """An instance file and its validate() report, each error printed to stderr."""
     with open(path, "r", encoding="utf-8") as fp:
-        return formats.load_instance(fp)
-
-
-def _load_valid_instance(path: str):
-    """Load an instance file, or None after printing each validate() error."""
-    instance = _load_instance(path)
+        instance = formats.load_instance(fp)
     report = validate(instance)
     for line in report.errors:
         print(f"error: {line}", file=sys.stderr)
-    return instance if report.ok else None
+    return instance, report
 
 
 class _OutFile:
@@ -113,7 +124,9 @@ def _emit(doc: object, out: str | None) -> None:
 def _result_doc(result) -> dict:
     if isinstance(result, Matching):
         return formats.matching_to_doc(result)
-    return formats.trace_to_doc(result)
+    if isinstance(result, AuctionTrace):
+        return formats.trace_to_doc(result)
+    return dict(result)  # opt_1paa's keyword -> winner map
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,11 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run an algorithm on an instance file")
-    solve.add_argument(
-        "--algorithm",
-        required=True,
-        choices=("greedy", "ranking", "ranking-simulate", "top-c", "reverse-match"),
-    )
+    solve.add_argument("--algorithm", required=True, choices=(*_POLICIES, *_OFFLINE))
     solve.add_argument("--input", required=True)
     solve.add_argument("--out")
     solve.add_argument("--seed", type=int)
@@ -136,14 +145,14 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, help="left k-copy preprocessing")
 
     oracle = sub.add_parser("oracle", help="brute-force optimum with witness")
-    oracle.add_argument("--problem", required=True, choices=("2pm", "2paa", "1paa"))
+    oracle.add_argument("--problem", required=True, choices=tuple(_ORACLES))
     oracle.add_argument("--input", required=True)
     oracle.add_argument("--out")
     oracle.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     oracle.add_argument("--stats", action="store_true", help="print search statistics to stderr")
 
     gen = sub.add_parser("generate", help="emit an instance from a named family")
-    gen.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
+    gen.add_argument("--family", required=True, choices=sorted(_FAMILIES))
     gen.add_argument("--params", help="comma-separated key=value overrides")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out")
@@ -169,45 +178,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args, parser) -> int:
-    instance = _load_valid_instance(args.input)
-    if instance is None:
+    instance, report = _checked_instance(args.input)
+    if not report.ok:
         return 1
     if args.k is not None:
         if args.k < 1:
             parser.error("--k must be >= 1")
         instance = left_k_copy(instance, args.k).instance
-    algorithm = args.algorithm
-    if algorithm in ("ranking", "ranking-simulate") and args.seed is None:
-        parser.error(f"--seed is required for {algorithm}")
-    if algorithm == "greedy":
-        result = run_online(instance, greedy_2pm(), seed=args.seed)
-    elif algorithm == "ranking":
-        result = run_online(instance, ranking_1p(), seed=args.seed)
-    elif algorithm == "ranking-simulate":
-        result = run_online(instance, ranking_simulate(), seed=args.seed)
-    elif algorithm == "top-c":
-        if args.c is None:
-            parser.error("--c is required for top-c")
-        result = top_c(instance, args.c)
+    name = args.algorithm
+    if name in _POLICIES:
+        policy = _POLICIES[name]()
+        if not policy.deterministic and args.seed is None:
+            parser.error(f"--seed is required for {name}")
+        result = run_online(instance, policy, seed=args.seed)
     else:
-        result = reverse_match(instance)
+        run, takes_c = _OFFLINE[name]
+        if takes_c and args.c is None:
+            parser.error(f"--c is required for {name}")
+        if takes_c and args.c < 1:
+            parser.error("--c must be >= 1")
+        result = run(instance, args.c) if takes_c else run(instance)
     _emit(_result_doc(result), args.out)
     return 0
 
 
 def _cmd_oracle(args, parser) -> int:
-    instance = _load_valid_instance(args.input)
-    if instance is None:
+    instance, report = _checked_instance(args.input)
+    if not report.ok:
         return 1
-    if args.problem == "2pm":
-        res = opt_2pm(instance, node_limit=args.node_limit)
-        doc = {"value": res.value, "trace": formats.trace_to_doc(res.witness)}
-    elif args.problem == "2paa":
-        res = opt_2paa(instance, node_limit=args.node_limit)
-        doc = {"value": res.value, "trace": formats.trace_to_doc(res.witness)}
-    else:
-        res = opt_1paa(instance, node_limit=args.node_limit)
-        doc = {"value": res.value, "winners": dict(res.witness)}
+    res = _ORACLES[args.problem](instance, node_limit=args.node_limit)
     if args.stats:
         stats = res.stats
         print(
@@ -215,43 +214,20 @@ def _cmd_oracle(args, parser) -> int:
             f" max_depth={stats.max_depth}",
             file=sys.stderr,
         )
-    _emit(doc, args.out)
+    key = "trace" if isinstance(res.witness, AuctionTrace) else "winners"
+    _emit({"value": res.value, key: _result_doc(res.witness)}, args.out)
     return 0
 
 
 def _cmd_generate(args, parser) -> int:
-    family = args.family
-    if family in _RANDOMIZED_FAMILIES and args.seed is None:
-        parser.error(f"--seed is required for family {family}")
+    defaults, needs_seed, build = _FAMILIES[args.family]
+    if needs_seed and args.seed is None:
+        parser.error(f"--seed is required for family {args.family}")
     try:
-        given = _parse_params(args.params)
-        params = _merge_params(f"family {family}", _FAMILY_PARAMS[family], given)
+        params = _merge_params(f"family {args.family}", defaults, _parse_params(args.params))
+        instance = build(**params, seed=args.seed)
     except (ValueError, InvalidParams) as exc:
         parser.error(str(exc))
-    if family == "gap":
-        instance = gap_instance(params["c"], params["k"])
-    elif family == "adversary":
-        policies, name = dict(_BATTERY), params["policy"]
-        if name not in policies:
-            parser.error(f"unknown policy {name!r}; choose from {', '.join(sorted(policies))}")
-        instance = adversary_vs_policy(policies[name](), params["m"]).instance
-    elif family == "chain":
-        instance = sample_chain(params["m"], seed=args.seed).instance
-    elif family == "random-2pm":
-        instance = random_2pm(
-            params["num_keywords"],
-            params["num_bidders"],
-            params["edge_probability"],
-            seed=args.seed,
-        )
-    else:
-        instance = random_2paa(
-            params["num_keywords"],
-            params["num_bidders"],
-            params["max_bid"],
-            params["target_r_min"],
-            seed=args.seed,
-        )
     with _output(args.out) as fp:
         formats.dump_instance(instance, fp)
     return 0
@@ -303,7 +279,10 @@ def _cmd_reduce(args, parser) -> int:
                 weights.append(int(item))
             except ValueError:
                 parser.error(f"--weights must be comma-separated integers, got {_quoted(item)}")
-        gadget = partition_to_2paa(weights, args.c)
+        try:
+            gadget = partition_to_2paa(weights, args.c)
+        except InvalidParams as exc:
+            parser.error(str(exc))
         roles = _partition_roles(gadget)
     else:
         if not args.graph:
@@ -334,7 +313,7 @@ def _cmd_experiment(args, parser) -> int:
         parser.error(str(exc))
     if args.out:
         if args.format == "csv":
-            with open(args.out, "w", encoding="utf-8") as fp:
+            with _output(args.out) as fp:
                 formats.records_to_csv(records, fp)
         else:
             doc = {
@@ -347,10 +326,7 @@ def _cmd_experiment(args, parser) -> int:
 
 
 def _cmd_validate(args, parser) -> int:
-    instance = _load_instance(args.input)
-    report = validate(instance)
-    for line in report.errors:
-        print(f"error: {line}", file=sys.stderr)
+    instance, report = _checked_instance(args.input)
     for line in report.warnings:
         print(f"warning: {line}")
     if report.ok:

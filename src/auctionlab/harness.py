@@ -201,6 +201,8 @@ def _adversary_violates(record: TrialRecord) -> bool:
 
 def _top_c_trial(params: dict, index: int, seed: int):
     c, nk, nb = params["c"], params["num_keywords"], params["num_bidders"]
+    if c < 1:  # top_c's own message: random_2paa would name its target_r_min
+        raise InvalidParams(f"c must be >= 1, got {c}")
     inst = random_2paa(nk, nb, params["max_bid"], c, seed=seed)
     return f"2paa {nk}x{nb} c={c}", top_c(inst, c).value, top_c_bound(inst, c)
 

@@ -8,6 +8,7 @@ import functools
 import itertools
 import math
 import random
+import warnings
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -112,6 +113,37 @@ def test_criterion_2_reverse_match_factor_exhaustive():
         f"OPT <= 2 value and value >= half the two-bidder matching on all {checked} "
         f"3x3 instances ({tight} tight; {whole_floor_failures} below half the whole "
         "instance's matching)",
+        ok,
+    )
+
+
+def test_criterion_2_reverse_match_factor_every_4x4_class():
+    # every 0/1 instance with 4 keywords and 4 bidders up to bidder
+    # relabeling: a multiset of bidder columns, each a subset of the keywords.
+    # reverse_match breaks ties by bidder index, so this is one labelling per
+    # class, not every labelled instance.  A class is tight when OPT = 2 value > 0
+    bidders = ("v0", "v1", "v2", "v3")
+    checked = tight = 0
+    ok = True
+    for columns in itertools.combinations_with_replacement(range(16), 4):
+        rows = {f"u{i}": [v for v, col in zip(bidders, columns) if col >> i & 1] for i in range(4)}
+        inst = unit_instance(rows, bidders=bidders)
+        thin = sum(len(row) < 2 for row in rows.values())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = reverse_match(inst).value
+        dropped = [f"dropping {thin} keyword(s) with fewer than two bidders"] if thin else []
+        ok = ok and [str(w.message) for w in caught] == dropped
+        opt = opt_2pm(inst).value
+        mf = max_matching(_without_thin_keywords(inst)).size
+        ok = ok and opt <= 2 * value and value >= math.ceil(mf / 2)
+        tight += opt == 2 * value > 0
+        checked += 1
+    ok = ok and (checked, tight) == (3876, 31)
+    _verdict(
+        2,
+        f"OPT <= 2 value and value >= half the two-bidder matching on all {checked} "
+        f"4x4 classes up to bidder relabeling ({tight} tight)",
         ok,
     )
 

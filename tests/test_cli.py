@@ -23,8 +23,14 @@ from auctionlab import (
     top_c,
     unit_instance,
 )
-from auctionlab.cli import main
-from auctionlab.formats import dump_instance, instance_from_doc, instance_to_doc, trace_to_doc
+from auctionlab.cli import _FAMILIES, _OFFLINE, _ORACLES, _POLICIES, main
+from auctionlab.formats import (
+    dump_instance,
+    instance_from_doc,
+    instance_to_doc,
+    load_instance,
+    trace_to_doc,
+)
 from auctionlab.harness import format_report, run_experiment
 
 
@@ -412,6 +418,97 @@ def test_reduce_vertex_cover_requires_graph():
     with pytest.raises(SystemExit) as err:
         main(["reduce", "--from", "vertex-cover", "--out", "x.json"])
     assert err.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# exit codes: an out-of-range --params or flag value is a usage error (2),
+# a bad input file is a data error (1); neither writes --out
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["generate", "--family", "chain", "--seed", "1", "--params", "m=0"], 2,
+         "m must be >= 1, got 0"),
+        (["generate", "--family", "gap", "--params", "k=1"], 2,
+         "need c >= 1 and k >= 2, got c=1, k=1"),
+        (["generate", "--family", "adversary", "--params", "policy=ranking"], 2,
+         "unknown policy 'ranking'; choose from first-available, greedy, skip-all"),
+        (["generate", "--family", "random-2pm", "--seed", "1", "--params", "edge_probability=2"],
+         2, "edge probability 2.0 outside [0, 1]"),
+        (["solve", "--algorithm", "top-c", "--c", "0"], 2, "--c must be >= 1"),
+        (["solve", "--algorithm", "greedy", "--k", "0"], 2, "--k must be >= 1"),
+        (["reduce", "--from", "partition", "--weights", "1,2,3"], 2,
+         "need an even positive number of weights, got 3"),
+        (["reduce", "--from", "partition", "--weights", "1,1", "--c", "0"], 2,
+         "c must be >= 1, got 0"),
+        (["reduce", "--from", "partition", "--weights", "1,0"], 2,
+         "weights must be positive ints, got 0"),
+        (["reduce", "--from", "partition", "--weights", "1,x"], 2,
+         "--weights must be comma-separated integers, got 'x'"),
+        (["reduce", "--from", "vertex-cover", "--graph", "loop.txt"], 1, "self-loop at 'a'"),
+        (["experiment", "--suite", "top-c", "--seed", "1", "--trials", "3", "--params", "c=0"],
+         2, "c must be >= 1, got 0"),
+    ],
+    ids=[
+        "generate-chain-m", "generate-gap-k", "generate-adversary-policy",
+        "generate-random-2pm-p", "solve-c", "solve-k", "reduce-odd-weights", "reduce-c",
+        "reduce-zero-weight", "reduce-unparsable-weight", "reduce-graph-content",
+        "experiment-top-c",
+    ],
+)
+def test_refused_values_exit_two_and_bad_data_exits_one(
+    tmp_path, monkeypatch, capsys, instance_file, argv, code, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop.txt").write_text("a b\na a\n")
+    if argv[0] == "solve":
+        argv = [*argv, "--input", str(instance_file)]
+    if argv[0] == "reduce":
+        argv = [*argv, "--out", "out.json"]
+    if code == 2:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        expected = f"auctionlab: error: {message}"
+    else:
+        assert main(argv) == 1
+        expected = f"error: {message}"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json", "loop.txt"]
+
+
+def _table_argv():
+    """One argv per CLI table entry, with default params and --seed 0 where required."""
+    for family, (_, needs_seed, _) in _FAMILIES.items():
+        yield ["generate", "--family", family, *(["--seed", "0"] if needs_seed else [])]
+    for name, factory in _POLICIES.items():
+        seed = [] if factory().deterministic else ["--seed", "0"]
+        yield ["solve", "--algorithm", name, *seed]
+    for name, (_, takes_c) in _OFFLINE.items():
+        yield ["solve", "--algorithm", name, *(["--c", "1"] if takes_c else [])]
+    for problem in _ORACLES:
+        yield ["oracle", "--problem", problem]
+
+
+@pytest.mark.parametrize("argv", list(_table_argv()), ids=lambda argv: " ".join(argv[:3]))
+def test_every_table_entry_runs_from_argv(unit_file, capsys, argv):
+    if argv[0] != "generate":
+        argv = [*argv, "--input", str(unit_file)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "generate":
+        assert load_instance(io.StringIO(out)).m > 0
+        return
+    doc = json.loads(out)
+    if argv[0] == "oracle":
+        with open(unit_file) as fp:
+            assert doc["value"] == _ORACLES[argv[2]](load_instance(fp)).value
+        assert set(doc) == {"value", "winners" if argv[2] == "1paa" else "trace"}
+    else:
+        assert set(doc) in ({"steps", "total"}, {"pairs", "size"})
 
 
 # ----------------------------------------------------------------------

@@ -199,6 +199,13 @@ def test_run_experiment_validates_inputs():
     assert len(records) == 2
 
 
+@pytest.mark.parametrize("c", [0, -2])
+def test_top_c_suite_names_c_when_it_is_out_of_range(c):
+    # the suite passes c as random_2paa's target_r_min; the error names c
+    with pytest.raises(InvalidParams, match=rf"^c must be >= 1, got {c}$"):
+        run_experiment("top-c", params={"c": c}, trials=3, seed=0)
+
+
 def test_run_experiment_coerces_string_params():
     _, records = run_experiment("greedy-chain", params={"m": "7"}, trials=5, seed=0)
     assert records[0].instance == "chain m=7"
