@@ -5,6 +5,7 @@ a failing criterion fails its test and prints a FAIL line.
 """
 
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -85,6 +86,17 @@ def test_criterion_2_reverse_match_factor():
     )
 
 
+# SHA-256 over every enumerated instance's reverse_match run: its actions and
+# the text of its warnings, one line per instance in enumeration order
+REVERSE_MATCH_3X3_DIGEST = "1bc8804e492fd92ccf1e8c3343a92b90f3c2c282ddc5cdca45a6a988b968cd08"
+REVERSE_MATCH_4X4_DIGEST = "03cd22a1368caff41bad511ca3feb0422833098194ebd1e91f73615718cc5d34"
+
+
+def _digest_run(digest, trace, caught):
+    warned = [str(w.message) for w in caught]
+    digest.update(f"{trace.actions()!r} {warned!r}\n".encode())
+
+
 def test_criterion_2_reverse_match_factor_exhaustive():
     # every labelled 0/1 instance with keywords u0..u2 and bidders v0..v2;
     # reverse_match drops keywords with fewer than two bidders, so its floor
@@ -93,13 +105,16 @@ def test_criterion_2_reverse_match_factor_exhaustive():
     rows = [c for r in range(4) for c in itertools.combinations(bidders, r)]
     checked = floor_failures = whole_floor_failures = tight = 0
     ok = True
+    digest = hashlib.sha256()
     for chosen in itertools.product(rows, repeat=3):
         inst = unit_instance(
             {f"u{i}": list(row) for i, row in enumerate(chosen)}, bidders=bidders
         )
         thin = any(len(row) < 2 for row in chosen)
-        with pytest.warns(UserWarning, match="fewer than two") if thin else nullcontext():
-            value = reverse_match(inst).value
+        with pytest.warns(UserWarning, match="fewer than two") if thin else nullcontext() as caught:
+            trace = reverse_match(inst)
+        _digest_run(digest, trace, caught or [])
+        value = trace.value
         opt = opt_2pm(inst).value
         mf = max_matching(_without_thin_keywords(inst)).size
         ok = ok and opt <= 2 * value
@@ -108,6 +123,7 @@ def test_criterion_2_reverse_match_factor_exhaustive():
         tight += opt == 2 * value > 0
         checked += 1
     ok = ok and (checked, floor_failures, whole_floor_failures, tight) == (512, 0, 144, 24)
+    ok = ok and digest.hexdigest() == REVERSE_MATCH_3X3_DIGEST
     _verdict(
         2,
         f"OPT <= 2 value and value >= half the two-bidder matching on all {checked} "
@@ -125,13 +141,16 @@ def test_criterion_2_reverse_match_factor_every_4x4_class():
     bidders = ("v0", "v1", "v2", "v3")
     checked = tight = 0
     ok = True
+    digest = hashlib.sha256()
     for columns in itertools.combinations_with_replacement(range(16), 4):
         rows = {f"u{i}": [v for v, col in zip(bidders, columns) if col >> i & 1] for i in range(4)}
         inst = unit_instance(rows, bidders=bidders)
         thin = sum(len(row) < 2 for row in rows.values())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            value = reverse_match(inst).value
+            trace = reverse_match(inst)
+        _digest_run(digest, trace, caught)
+        value = trace.value
         dropped = [f"dropping {thin} keyword(s) with fewer than two bidders"] if thin else []
         ok = ok and [str(w.message) for w in caught] == dropped
         opt = opt_2pm(inst).value
@@ -140,6 +159,7 @@ def test_criterion_2_reverse_match_factor_every_4x4_class():
         tight += opt == 2 * value > 0
         checked += 1
     ok = ok and (checked, tight) == (3876, 31)
+    ok = ok and digest.hexdigest() == REVERSE_MATCH_4X4_DIGEST
     _verdict(
         2,
         f"OPT <= 2 value and value >= half the two-bidder matching on all {checked} "
@@ -198,6 +218,69 @@ def test_criterion_3_vertex_cover_identity():
     _verdict(
         3,
         f"2|V|+|E|-OPT_VC identity and cover extraction on {len(graphs)} connected graphs",
+        ok,
+    )
+
+
+def _paying_action_sequences(instance):
+    """Every legal action sequence of an all-ones instance that charges only 1s.
+
+    A zero-price assignment leaves the budgets as Skip does, so these are
+    all the feasible traces up to such assignments.  Depth-first order:
+    Skip first, then ordered pairs of solvent neighbors in bidder-index order.
+    """
+    keywords = instance.keywords
+
+    def walk(t, budgets, actions):
+        if t == len(keywords):
+            yield actions
+            return
+        yield from walk(t + 1, budgets, actions + [SKIP])
+        row = [v for v in instance.positive_bids(keywords[t]) if budgets[v]]
+        for first, second in itertools.permutations(row, 2):
+            yield from walk(t + 1, {**budgets, first: 0}, actions + [Assign(first, second)])
+
+    yield from walk(0, instance.initial_budgets(), [])
+
+
+# SHA-256 over the sorted covers extracted from every paying trace, one line each
+VC_TRACE_COVERS = {
+    "edge": (193, 9, "117c71d0bbcd4cd9235d53874467b6e096b810b8d7b73e229f2f429ba1b32ac9"),
+    "path": (5183, 243, "beb3a78fb4806d8e1eb47c91599e4a34ca56b21fef209820d3cd7fecdbad4315"),
+}
+
+
+def test_criterion_3_cover_from_every_paying_trace():
+    # the approximation-preserving half of the reduction: every feasible
+    # trace, not only an optimal one, maps to a cover no larger than
+    # 2|V| + |E| - value.  A trace is "contested" when an unpaid edge
+    # keyword has both endpoints charged by their h keywords
+    graphs = {
+        "edge": (("a", "b"), (("a", "b"),)),
+        "path": (("a", "b", "c"), (("a", "b"), ("b", "c"))),
+    }
+    ok = True
+    for name, (vertices, edges) in graphs.items():
+        gadget = vc_to_2pm(vertices, edges)
+        traces = contested = 0
+        digest = hashlib.sha256()
+        for actions in _paying_action_sequences(gadget.instance):
+            trace = execute(gadget.instance, actions)
+            cover = extract_vertex_cover(gadget, trace)
+            ok = ok and all(s in cover or t in cover for s, t in edges)
+            ok = ok and len(cover) <= 2 * len(vertices) + len(edges) - trace.value
+            paid = {s.keyword: s.action.first for s in trace.steps if s.price == 1}
+            charged = {v for v in vertices if paid.get(gadget.h_keywords[v]) == v}
+            contested += any(
+                gadget.edge_keywords[e] not in paid and set(e) <= charged for e in edges
+            )
+            digest.update((",".join(sorted(cover)) + "\n").encode())
+            traces += 1
+        ok = ok and (traces, contested, digest.hexdigest()) == VC_TRACE_COVERS[name]
+    _verdict(
+        3,
+        "a cover of size <= 2|V|+|E|-value from each of the 193 one-edge and 5183 "
+        "path-gadget traces that charge only 1s",
         ok,
     )
 
