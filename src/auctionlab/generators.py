@@ -20,7 +20,7 @@ from .model import (
     Instance,
     TraceStep,
 )
-from .online import OnlinePolicy
+from .online import OnlinePolicy, _decide
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +121,7 @@ def adversary_vs_policy(policy: OnlinePolicy, m: int) -> AdversaryTranscript:
             row = {anchor: 1, fresh(f"c{t}"): 1}
         for v, amount in row.items():
             bids[(kw, v)] = amount
-        action = policy.decide(t - 1, kw, MappingProxyType(row), budgets)
+        action = _decide(policy, t - 1, kw, MappingProxyType(row), budgets)
         price = state.settle(row, action)
         steps.append(TraceStep(kw, action, price))
         if anchor is None and price > 0:
@@ -264,6 +264,13 @@ def _uniform_row(rng: random.Random, count: int, width: int) -> list[int]:
     return values
 
 
+def _at_least(**bounds: tuple[int, int]) -> None:
+    """Refuse the first parameter, in argument order, whose value is below its bound."""
+    for name, (value, low) in bounds.items():
+        if value < low:
+            raise InvalidParams(f"{name} must be >= {low}, got {value}")
+
+
 def random_2pm(
     num_keywords: int,
     num_bidders: int,
@@ -275,8 +282,7 @@ def random_2pm(
     Keywords left under degree 2 receive uniformly chosen distinct extra
     neighbors until they reach degree exactly 2.
     """
-    if num_keywords < 0 or num_bidders < 2:
-        raise InvalidParams("need num_keywords >= 0 and num_bidders >= 2")
+    _at_least(num_keywords=(num_keywords, 0), num_bidders=(num_bidders, 2))
     if not 0.0 <= edge_probability <= 1.0:
         raise InvalidParams(f"edge probability {edge_probability} outside [0, 1]")
     rng = random.Random(seed)
@@ -308,10 +314,8 @@ def random_2paa(
     Each bidder's budget is target_r_min times its largest bid (at least
     target_r_min), so the minimum budget-to-bid ratio is >= target_r_min.
     """
-    if num_keywords < 0 or num_bidders < 1:
-        raise InvalidParams("need num_keywords >= 0 and num_bidders >= 1")
-    if max_bid < 0 or target_r_min < 1:
-        raise InvalidParams("need max_bid >= 0 and target_r_min >= 1")
+    _at_least(num_keywords=(num_keywords, 0), num_bidders=(num_bidders, 1))
+    _at_least(max_bid=(max_bid, 0), target_r_min=(target_r_min, 1))
     rng = random.Random(seed)
     keywords = tuple(f"u{i}" for i in range(1, num_keywords + 1))
     bidder_ids = tuple(f"v{j}" for j in range(1, num_bidders + 1))

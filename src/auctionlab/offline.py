@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleTrace, InvalidParams, NoPositiveBids
 from .model import SKIP, Action, Assign, AuctionTrace, Instance, execute, r_min, settle_all
-from .oracles import max_matching, second_bid_upper_bound
+from .oracles import _matching_owners, _neighbor_rows, second_bid_upper_bound
 
 
 def top_c(instance: Instance, c: int) -> AuctionTrace:
@@ -58,57 +58,42 @@ def top_c(instance: Instance, c: int) -> AuctionTrace:
 def reverse_match(instance: Instance) -> AuctionTrace:
     """2-approximation for all-ones instances via a maximum matching.
 
-    Finds a maximum matching f, then walks the matched keywords in reverse
-    arrival order.  A keyword with a down-edge (u, v) is assigned to f(u)
-    with v as second; otherwise every other neighbor is matched to an
+    Finds a maximum matching, then walks the matched keywords in reverse
+    arrival order.  A keyword u with a down-edge (u, v) is assigned to its
+    mate with v as second; otherwise every other neighbor is matched to an
     earlier keyword, so one such edge (u, v) is chosen (the one whose
     partner arrives earliest, then lowest bidder index), the partner's
-    matching edge is removed, and u is assigned to f(u) with v as second.
-    Every assignment charges exactly 1, so the value is at least half the
-    matching size, rounded up.
+    matching edge is removed, and u is assigned to its mate with v as
+    second.  Every assignment charges exactly 1, so the value is at least
+    half the matching size, rounded up.
     """
     if not instance.is_unit():
         raise InvalidParams("reverse_match needs an all-ones instance")
 
-    arrival = {u: i for i, u in enumerate(instance.keywords)}
-    thin = [u for u in instance.keywords if len(instance.positive_bids(u)) < 2]
-    filtered = instance
+    rows = _neighbor_rows(instance)
+    thin = sum(len(row) < 2 for row in rows)
     if thin:
-        warnings.warn(
-            f"dropping {len(thin)} keyword(s) with fewer than two bidders",
-            stacklevel=2,
-        )
-        drop = set(thin)
-        filtered = Instance(
-            tuple(u for u in instance.keywords if u not in drop),
-            instance.bidders,
-            {(u, v): a for (u, v), a in instance.bids.items() if u not in drop},
-        )
+        warnings.warn(f"dropping {thin} keyword(s) with fewer than two bidders", stacklevel=2)
+    m = len(rows)
+    # bidder index -> keyword position, and its inverse
+    owner = _matching_owners([row if len(row) >= 2 else () for row in rows], len(instance.bidders))
+    mate = {t: i for i, t in owner.items()}
 
-    f = dict(max_matching(filtered).pairs)
-    f_inv = {v: u for u, v in f.items()}
-
-    assignments: dict[str, Assign] = {}
-    for u in sorted(f, key=lambda u: -arrival[u]):
-        if u not in f:
+    ids = instance.bidder_ids
+    actions: list[Action] = [SKIP] * m
+    for t in sorted(mate, reverse=True):
+        if t not in mate:
             continue
-        mate = f[u]
         # in bidder-index order, so the first of equal candidates wins ties
-        others = [v for v in instance.positive_bids(u) if v != mate]
-        down = [
-            v
-            for v in others
-            if v not in f_inv or arrival[f_inv[v]] > arrival[u]
-        ]
+        others = [i for i in rows[t] if i != mate[t]]
+        down = [i for i in others if owner.get(i, m) > t]
         if down:
             second = down[0]
         else:
-            second = min(others, key=lambda v: arrival[f_inv[v]])
-            removed = f_inv.pop(second)
-            del f[removed]
-        assignments[u] = Assign(mate, second)
+            second = min(others, key=owner.__getitem__)
+            del mate[owner.pop(second)]
+        actions[t] = Assign(ids[mate[t]], ids[second])
 
-    actions: list[Action] = [assignments.get(u, SKIP) for u in instance.keywords]
     trace = execute(instance, actions)
     for step in trace.steps:
         if isinstance(step.action, Assign) and step.price != 1:

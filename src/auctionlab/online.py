@@ -13,6 +13,7 @@ is M.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -270,10 +271,12 @@ def run_online(instance: Instance, policy: OnlinePolicy, seed: int | None = None
             pairs[keyword] = v
         return Matching(pairs)
 
-    def decide(step, keyword, bids, budgets):
-        action = policy.decide(step, keyword, bids, budgets)
-        if not isinstance(action, (Assign, Skip)):
-            raise PolicyViolation(f"policy returned {action!r}, not an action")
-        return action
+    return settle_all(instance, functools.partial(_decide, policy))
 
-    return settle_all(instance, decide)
+
+def _decide(policy: OnlinePolicy, step, keyword, bids, budgets) -> Action:
+    """`policy.decide`, refusing a result that is not an action."""
+    action = policy.decide(step, keyword, bids, budgets)
+    if not isinstance(action, (Assign, Skip)):
+        raise PolicyViolation(f"policy returned {action!r}, not an action")
+    return action

@@ -97,6 +97,14 @@ def max_matching(instance: Instance) -> Matching:
 
     Deterministic: keywords are processed in arrival order and bidders
     probed in index order, so reruns yield the identical matching.
+    """
+    owner = _matching_owners(_neighbor_rows(instance), len(instance.bidders))
+    ids, keywords = instance.bidder_ids, instance.keywords
+    return Matching({keywords[t]: ids[i] for i, t in owner.items()})
+
+
+def _matching_owners(rows: Sequence[tuple[int, ...]], n: int) -> dict[int, int]:
+    """Kuhn's matching over index rows: bidder index -> keyword position.
 
     A bidder visited in a search stays marked until the next augmentation
     (the visit stamp advances only then), so a failed search is never
@@ -104,15 +112,13 @@ def max_matching(instance: Instance) -> Matching:
     behind a marked set that is closed under alternating paths and holds no
     free bidder, so skipping it changes neither probe order nor path.
     """
-    rows = _neighbor_rows(instance)
-    owner: dict[int, int] = {}  # bidder index -> keyword position
-    seen = [0] * len(instance.bidders)
+    owner: dict[int, int] = {}
+    seen = [0] * n
     stamp = 1
     for t in range(len(rows)):
         if _augment(rows, owner, seen, stamp, t):
             stamp += 1
-    ids, keywords = instance.bidder_ids, instance.keywords
-    return Matching({keywords[t]: ids[i] for i, t in owner.items()})
+    return owner
 
 
 def _augment(

@@ -252,58 +252,33 @@ def vc_to_2pm(vertices: Sequence[str], edges: Sequence[tuple[str, str]]) -> VcGa
 
 
 def extract_vertex_cover(gadget: VcGadget, trace: AuctionTrace) -> frozenset[str]:
-    """Recover a vertex cover of size 2|V| + |E| - value from a feasible trace.
+    """Recover a vertex cover of size at most 2|V| + |E| - value from a feasible trace.
 
-    The trace is first normalized (without decreasing value) so that every
-    edge keyword is allocated to its private bidder for profit 1 and every
-    vertex gadget is in canonical shape; the cover is the set of vertices
-    whose vertex bidder ends up with no keyword.
+    A vertex gadget pays 2 only when h:v charges v, and an edge keyword
+    cannot pay once both its endpoints are charged.  So the vertices charged
+    by their h keyword, less the first endpoint of each unpaid edge whose
+    endpoints are both still charged, leave a cover behind.  The cover's
+    canonical trace, replayed under the exact semantics, is worth at least
+    the given one: h:v and l:v pay for each vertex outside the cover, h:v
+    for each vertex in it, and every edge keyword pays through its x bidder.
     """
     instance = gadget.instance
     replay = execute(instance, trace.actions())
     if replay.prices() != trace.prices():
         raise InfeasibleTrace("trace does not replay on the gadget instance")
 
-    vertex_bidders = set(gadget.vertices)
-    alloc: dict[str, str] = {
-        s.keyword: s.action.first
-        for s in replay.steps
-        if isinstance(s.action, Assign) and s.price == 1
-    }
-
-    # edge keywords never go to vertex bidders; switching to the private
-    # bidder keeps the profit and frees the vertex
+    paid = {s.keyword: s.action.first for s in replay.steps if s.price == 1}
+    charged = {v for v in gadget.vertices if paid.get(gadget.h_keywords[v]) == v}
     for e in gadget.edges:
-        kw = gadget.edge_keywords[e]
-        if alloc.get(kw) in vertex_bidders:
-            alloc[kw] = gadget.x_bidders[e]
+        if gadget.edge_keywords[e] not in paid and set(e) <= charged:
+            charged.remove(e[0])
+    cover = frozenset(v for v in gadget.vertices if v not in charged)
 
-    def consumed(v: str) -> bool:
-        return alloc.get(gadget.h_keywords[v]) == v
-
-    def free_vertex(v: str) -> None:
-        # h:v currently consumes v; shift it to y:v, which costs at most
-        # the l:v allocation
-        alloc[gadget.h_keywords[v]] = gadget.y_bidders[v]
-        alloc.pop(gadget.l_keywords[v], None)
-
-    for e in gadget.edges:
-        kw = gadget.edge_keywords[e]
-        if kw in alloc:
-            continue
-        s, t = e
-        if consumed(s) and consumed(t):
-            free_vertex(s)
-        alloc[kw] = gadget.x_bidders[e]
-
+    alloc = {gadget.edge_keywords[e]: gadget.x_bidders[e] for e in gadget.edges}
     for v in gadget.vertices:
-        if consumed(v):
-            alloc.setdefault(gadget.l_keywords[v], gadget.y_bidders[v])
-        elif alloc.get(gadget.h_keywords[v]) != gadget.y_bidders[v]:
-            alloc.pop(gadget.l_keywords[v], None)
-            alloc[gadget.h_keywords[v]] = gadget.y_bidders[v]
+        alloc[gadget.h_keywords[v]] = gadget.y_bidders[v] if v in cover else v
+    alloc.update((gadget.l_keywords[v], gadget.y_bidders[v]) for v in charged)
 
-    # rebuild canonically and let the exact semantics verify every step
     def decide(step, kw, row, budgets):
         first = alloc.get(kw)
         if first is None:
@@ -319,7 +294,6 @@ def extract_vertex_cover(gadget: VcGadget, trace: AuctionTrace) -> frozenset[str
     value = rebuilt.value
     if value < trace.value:
         raise InfeasibleTrace(f"normalization lost value: {value} < {trace.value}")
-    cover = frozenset(v for v in gadget.vertices if not consumed(v))
     if not all(s in cover or t in cover for s, t in gadget.edges):
         raise InfeasibleTrace("extracted vertex set misses an edge")
     if len(cover) != 2 * len(gadget.vertices) + len(gadget.edges) - value:

@@ -50,6 +50,7 @@ from auctionlab import (
     vc_to_2pm,
     yes_strategy,
 )
+from shared import simulate_match_probabilities, without_thin_keywords
 
 
 def _verdict(criterion: int, description: str, ok: bool) -> None:
@@ -116,7 +117,7 @@ def test_criterion_2_reverse_match_factor_exhaustive():
         _digest_run(digest, trace, caught or [])
         value = trace.value
         opt = opt_2pm(inst).value
-        mf = max_matching(_without_thin_keywords(inst)).size
+        mf = max_matching(without_thin_keywords(inst)).size
         ok = ok and opt <= 2 * value
         floor_failures += value < math.ceil(mf / 2)
         whole_floor_failures += value < math.ceil(max_matching(inst).size / 2)
@@ -154,7 +155,7 @@ def test_criterion_2_reverse_match_factor_every_4x4_class():
         dropped = [f"dropping {thin} keyword(s) with fewer than two bidders"] if thin else []
         ok = ok and [str(w.message) for w in caught] == dropped
         opt = opt_2pm(inst).value
-        mf = max_matching(_without_thin_keywords(inst)).size
+        mf = max_matching(without_thin_keywords(inst)).size
         ok = ok and opt <= 2 * value and value >= math.ceil(mf / 2)
         tight += opt == 2 * value > 0
         checked += 1
@@ -343,25 +344,6 @@ def test_criterion_5_ranking_kcopy_bound():
     )
 
 
-def _coin_enumeration_probabilities(inst, sigma):
-    m = inst.m
-    hits = {v: 0 for v in inst.bidder_ids}
-    for coins in itertools.product((0, 1), repeat=m):
-        policy = ranking_simulate(sigma=sigma, coins=coins)
-        run_online(inst, policy)
-        for v in policy.matched:
-            hits[v] += 1
-    return {v: Fraction(h, 2**m) for v, h in hits.items()}
-
-
-def _without_thin_keywords(inst):
-    """`inst` minus its keywords with fewer than two bidders, which never pay."""
-    rows = {u: list(inst.positive_bids(u)) for u in inst.keywords}
-    return unit_instance(
-        {u: row for u, row in rows.items() if len(row) >= 2}, bidders=inst.bidder_ids
-    )
-
-
 def test_criterion_6a_match_probability_halving_exhaustive():
     bidders = ("a", "b", "c")
     rows = [c for r in (1, 2, 3) for c in itertools.combinations(bidders, r)]
@@ -375,12 +357,12 @@ def test_criterion_6a_match_probability_halving_exhaustive():
             )
             # RankingSimulate skips thin keywords, so its reference is
             # 2-copy Ranking on the instance without them
-            doubled = left_k_copy(_without_thin_keywords(inst), 2).instance
+            doubled = left_k_copy(without_thin_keywords(inst), 2).instance
             for sigma in itertools.permutations(bidders):
                 two_copy = set(
                     run_online(doubled, ranking_1p(sigma=sigma)).pairs.values()
                 )
-                probs = _coin_enumeration_probabilities(inst, sigma)
+                probs = simulate_match_probabilities(inst, sigma)
                 for v in bidders:
                     want = Fraction(1, 2) if v in two_copy else Fraction(0)
                     if probs[v] != want:

@@ -27,11 +27,11 @@ from auctionlab.cli import _FAMILIES, _OFFLINE, _ORACLES, _POLICIES, main
 from auctionlab.formats import (
     dump_instance,
     instance_from_doc,
-    instance_to_doc,
     load_instance,
     trace_to_doc,
 )
 from auctionlab.harness import format_report, run_experiment
+from shared import reference_text
 
 
 @pytest.fixture
@@ -258,10 +258,6 @@ def test_generate_gap_writes_instance(tmp_path):
     assert inst == gap_instance(2, 3)
 
 
-def reference_text(instance):
-    return json.dumps(instance_to_doc(instance), indent=2) + "\n"
-
-
 def test_generate_and_reduce_files_are_the_reference_rendering(tmp_path, capsys):
     out = tmp_path / "paa.json"
     argv = ["generate", "--family", "random-2paa", "--seed", "3"]
@@ -449,12 +445,23 @@ def test_reduce_vertex_cover_requires_graph():
         (["reduce", "--from", "vertex-cover", "--graph", "loop.txt"], 1, "self-loop at 'a'"),
         (["experiment", "--suite", "top-c", "--seed", "1", "--trials", "3", "--params", "c=0"],
          2, "c must be >= 1, got 0"),
+        (["experiment", "--suite", "top-c", "--seed", "1", "--trials", "3",
+          "--params", "max_bid=-1"], 2, "max_bid must be >= 0, got -1"),
+        (["generate", "--family", "random-2pm", "--seed", "1", "--params", "num_bidders=1"],
+         2, "num_bidders must be >= 2, got 1"),
+        (["generate", "--family", "random-2pm", "--seed", "1", "--params", "num_keywords=-1"],
+         2, "num_keywords must be >= 0, got -1"),
+        (["generate", "--family", "random-2paa", "--seed", "1", "--params", "target_r_min=0"],
+         2, "target_r_min must be >= 1, got 0"),
+        (["generate", "--family", "random-2paa", "--seed", "1", "--params", "num_bidders=0"],
+         2, "num_bidders must be >= 1, got 0"),
     ],
     ids=[
         "generate-chain-m", "generate-gap-k", "generate-adversary-policy",
         "generate-random-2pm-p", "solve-c", "solve-k", "reduce-odd-weights", "reduce-c",
         "reduce-zero-weight", "reduce-unparsable-weight", "reduce-graph-content",
-        "experiment-top-c",
+        "experiment-top-c", "experiment-top-c-max-bid", "generate-random-2pm-n",
+        "generate-random-2pm-m", "generate-random-2paa-r", "generate-random-2paa-n",
     ],
 )
 def test_refused_values_exit_two_and_bad_data_exits_one(

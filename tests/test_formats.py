@@ -28,6 +28,7 @@ from auctionlab.formats import (
     trace_to_doc,
 )
 from auctionlab.harness import make_record
+from shared import reference_text
 
 
 def sample_instance():
@@ -168,11 +169,6 @@ def test_record_doc_uses_frac_strings():
 # ----------------------------------------------------------------------
 # the instance writer and loader against the json module and the loader
 # as first written
-
-
-def reference_text(instance):
-    """The instance file as the json module renders the document."""
-    return json.dumps(instance_to_doc(instance), indent=2) + "\n"
 
 
 class Cents(int):

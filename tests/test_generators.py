@@ -16,6 +16,8 @@ from auctionlab import (
     Assign,
     InvalidParams,
     NonDeterministicPolicy,
+    OnlinePolicy,
+    PolicyViolation,
     adversary_vs_policy,
     execute,
     first_available,
@@ -32,6 +34,7 @@ from auctionlab import (
     run_online,
     sample_chain,
     skip_all,
+    unit_instance,
     validate,
 )
 from auctionlab.formats import instance_to_doc
@@ -120,6 +123,20 @@ def test_adversary_rejects_randomized_and_matching_policies():
         adversary_vs_policy(ranking_1p(), 3)
     with pytest.raises(InvalidParams):
         adversary_vs_policy(greedy_2pm(), 0)
+
+
+def test_adversary_and_run_online_refuse_the_same_non_action():
+    class Rogue(OnlinePolicy):
+        deterministic = True
+
+        def decide(self, step, keyword, bids, budgets):
+            return "skip"
+
+    message = "^policy returned 'skip', not an action$"
+    with pytest.raises(PolicyViolation, match=message):
+        run_online(unit_instance({"u1": ["a", "b"]}), Rogue())
+    with pytest.raises(PolicyViolation, match=message):
+        adversary_vs_policy(Rogue(), 3)
 
 
 # ----------------------------------------------------------------------

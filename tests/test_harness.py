@@ -199,11 +199,21 @@ def test_run_experiment_validates_inputs():
     assert len(records) == 2
 
 
-@pytest.mark.parametrize("c", [0, -2])
-def test_top_c_suite_names_c_when_it_is_out_of_range(c):
-    # the suite passes c as random_2paa's target_r_min; the error names c
-    with pytest.raises(InvalidParams, match=rf"^c must be >= 1, got {c}$"):
-        run_experiment("top-c", params={"c": c}, trials=3, seed=0)
+@pytest.mark.parametrize(
+    "name, value, low",
+    [
+        pytest.param("c", 0, 1, id="0"),
+        pytest.param("c", -2, 1, id="-2"),
+        pytest.param("max_bid", -1, 0, id="max_bid"),
+        pytest.param("num_keywords", -1, 0, id="num_keywords"),
+        pytest.param("num_bidders", 0, 1, id="num_bidders"),
+    ],
+)
+def test_top_c_suite_names_c_when_it_is_out_of_range(name, value, low):
+    # the suite passes c as random_2paa's target_r_min; the error names c,
+    # and an out-of-range parameter passed through is named alone
+    with pytest.raises(InvalidParams, match=rf"^{name} must be >= {low}, got {value}$"):
+        run_experiment("top-c", params={name: value}, trials=3, seed=0)
 
 
 def test_run_experiment_coerces_string_params():

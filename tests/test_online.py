@@ -27,6 +27,7 @@ from auctionlab import (
     unit_instance,
 )
 from auctionlab.formats import matching_to_doc, trace_to_doc
+from shared import simulate_match_probabilities, without_thin_keywords
 
 
 def pair_instance():
@@ -242,26 +243,6 @@ def test_simulate_driver_seed_reproduces_runs():
     assert all(run == runs[0] for run in runs)
 
 
-def _simulate_match_probabilities(inst, sigma):
-    """Exact Pr[v matched] under forced sigma by enumerating all coin tuples."""
-    m = inst.m
-    hits = {v: 0 for v in inst.bidder_ids}
-    for coins in itertools.product((0, 1), repeat=m):
-        policy = ranking_simulate(sigma=sigma, coins=coins)
-        run_online(inst, policy)
-        for v in policy.matched:
-            hits[v] += 1
-    return {v: Fraction(h, 2**m) for v, h in hits.items()}
-
-
-def _without_thin_keywords(inst):
-    """`inst` minus its keywords with fewer than two bidders, which never pay."""
-    rows = {u: list(inst.positive_bids(u)) for u in inst.keywords}
-    return unit_instance(
-        {u: row for u, row in rows.items() if len(row) >= 2}, bidders=inst.bidder_ids
-    )
-
-
 def test_simulate_matches_each_bidder_half_as_often_as_two_copy_ranking():
     instances = [
         unit_instance({"u1": ["a", "b"], "u2": ["b", "c"], "u3": ["a", "c"]}),
@@ -270,12 +251,12 @@ def test_simulate_matches_each_bidder_half_as_often_as_two_copy_ranking():
     ]
     for inst in instances:
         # thin keywords are skipped, so the reference drops them
-        doubled = left_k_copy(_without_thin_keywords(inst), 2).instance
+        doubled = left_k_copy(without_thin_keywords(inst), 2).instance
         for sigma in itertools.permutations(inst.bidder_ids):
             matched_2copy = set(
                 run_online(doubled, ranking_1p(sigma=sigma)).pairs.values()
             )
-            probs = _simulate_match_probabilities(inst, sigma)
+            probs = simulate_match_probabilities(inst, sigma)
             for v in inst.bidder_ids:
                 expected = Fraction(1, 2) if v in matched_2copy else Fraction(0)
                 assert probs[v] == expected, (inst, sigma, v)
