@@ -74,19 +74,18 @@ def reverse_match(instance: Instance) -> AuctionTrace:
     thin = sum(len(row) < 2 for row in rows)
     if thin:
         warnings.warn(f"dropping {thin} keyword(s) with fewer than two bidders", stacklevel=2)
-    m = len(rows)
     # bidder index -> keyword position, and its inverse
     owner = _matching_owners([row if len(row) >= 2 else () for row in rows], len(instance.bidders))
     mate = {t: i for i, t in owner.items()}
 
     ids = instance.bidder_ids
-    actions: list[Action] = [SKIP] * m
+    actions: list[Action] = [SKIP] * len(rows)
     for t in sorted(mate, reverse=True):
         if t not in mate:
             continue
         # in bidder-index order, so the first of equal candidates wins ties
         others = [i for i in rows[t] if i != mate[t]]
-        down = [i for i in others if owner.get(i, m) > t]
+        down = [i for i in others if i not in owner or owner[i] > t]
         if down:
             second = down[0]
         else:
