@@ -7,6 +7,7 @@ a failing criterion fails its test and prints a FAIL line.
 import functools
 import hashlib
 import itertools
+import json
 import math
 import random
 import warnings
@@ -20,10 +21,13 @@ from auctionlab import (
     Assign,
     BudgetState,
     Instance,
+    OnlinePolicy,
     OrderingViolation,
+    adversary_vs_policy,
     effective_bid,
     execute,
     extract_vertex_cover,
+    first_available,
     gap_instance,
     gap_witness_actions,
     greedy_2pm,
@@ -45,11 +49,13 @@ from auctionlab import (
     run_experiment,
     run_online,
     sample_chain,
+    skip_all,
     to_first_price_bids,
     unit_instance,
     vc_to_2pm,
     yes_strategy,
 )
+from auctionlab.formats import instance_to_doc, trace_to_doc
 from shared import simulate_match_probabilities, without_thin_keywords
 
 
@@ -528,6 +534,99 @@ def test_criterion_8_adversary_battery():
         m = int(record.instance.rsplit("m=", 1)[1])
         ok = ok and record.value <= 1 and record.reference == m
     _verdict(8, "every battery policy earns <= 1 while OPT = m for m <= 6", ok)
+
+
+class _Scripted(OnlinePolicy):
+    """A deterministic policy that plays a fixed script against the adversary.
+
+    Each entry answers one keyword: 0 skips, 1 assigns the row's first bidder
+    over its second, 2 the second over the first.
+    """
+
+    deterministic = True
+
+    def __init__(self, play):
+        self.play = play
+
+    def decide(self, step, keyword, bids, budgets):
+        choice = self.play[step]
+        if choice == 0:
+            return SKIP
+        a, b = bids
+        return Assign(a, b) if choice == 1 else Assign(b, a)
+
+
+def _legal_adversary_plays(m_max):
+    """(play, transcript) for every legal script of length 1..m_max, depth first.
+
+    The adversary is online, so a script's first k arrivals do not depend on
+    how long the game runs: a prefix that is illegal on its own prunes every
+    extension of it.
+    """
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        for choice in (2, 1, 0):  # popped in the order 0, 1, 2
+            play = (*prefix, choice)
+            try:
+                transcript = adversary_vs_policy(_Scripted(play), len(play))
+            except OrderingViolation:
+                continue
+            yield play, transcript
+            if len(play) < m_max:
+                stack.append(play)
+
+
+# SHA-256 over every legal scripted play for m = 1..10 (play, trace doc and
+# switch step, one line each in depth-first order), and over the battery's
+# transcripts for m = 1..120 (instance doc, trace doc, final budgets and
+# switch step, one line each)
+ADVERSARY_PLAYS_DIGEST = "538b3acbf082cd64c5463a543eec30b39c881e76d8efa979a607aad702f5233d"
+ADVERSARY_BATTERY_DIGEST = "7b7345c01c9817c9fed36389151f8532e2d8c76e5d4b7e6f28b94097ed768763"
+
+
+def test_criterion_8_adversary_beats_every_deterministic_policy():
+    # against the adaptive adversary a deterministic policy is one path
+    # through the game tree: Skip or one of the two ordered pairs per
+    # keyword, so the legal scripts cover every deterministic policy
+    plays = [0] * 11
+    optima = {}
+    ok = True
+    digest = hashlib.sha256()
+    for play, transcript in _legal_adversary_plays(10):
+        m, switch = len(play), transcript.switch_step
+        plays[m] += 1
+        # the instance depends only on the switch step and the charged bidder
+        charged = None if switch is None else transcript.trace.steps[switch - 1].action.first
+        key = (m, switch, charged)
+        if key not in optima:
+            optima[key] = opt_2pm(transcript.instance).value
+        ok = ok and transcript.policy_value <= 1 and optima[key] == m
+        doc = json.dumps([play, trace_to_doc(transcript.trace), switch])
+        digest.update((doc + "\n").encode())
+    ok = ok and plays[1:] == [2 ** (m + 1) - 1 for m in range(1, 11)]
+    ok = ok and digest.hexdigest() == ADVERSARY_PLAYS_DIGEST
+
+    battery = hashlib.sha256()
+    for make in (greedy_2pm, skip_all, first_available):
+        for m in range(1, 121):
+            transcript = adversary_vs_policy(make(), m)
+            doc = json.dumps(
+                [
+                    instance_to_doc(transcript.instance),
+                    trace_to_doc(transcript.trace),
+                    list(transcript.trace.final_budgets.items()),
+                    transcript.switch_step,
+                ]
+            )
+            battery.update((doc + "\n").encode())
+    ok = ok and battery.hexdigest() == ADVERSARY_BATTERY_DIGEST
+    _verdict(
+        8,
+        f"all {sum(plays)} legal deterministic plays for m = 1..10 earn <= 1 while "
+        "OPT = m; the battery's transcripts for m = 1..120 are pinned",
+        ok,
+    )
 
 
 def test_criterion_9_random_construction_eighth():
