@@ -254,6 +254,9 @@ def _paying_action_sequences(instance):
 VC_TRACE_COVERS = {
     "edge": (193, 9, "117c71d0bbcd4cd9235d53874467b6e096b810b8d7b73e229f2f429ba1b32ac9"),
     "path": (5183, 243, "beb3a78fb4806d8e1eb47c91599e4a34ca56b21fef209820d3cd7fecdbad4315"),
+    "triangle": (
+        18815, 783, "2c248f9063222a50a5ce6f59002841e21327440679070a1e01d397378883cbfd"
+    ),
 }
 
 
@@ -265,6 +268,7 @@ def test_criterion_3_cover_from_every_paying_trace():
     graphs = {
         "edge": (("a", "b"), (("a", "b"),)),
         "path": (("a", "b", "c"), (("a", "b"), ("b", "c"))),
+        "triangle": (("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c"))),
     }
     ok = True
     for name, (vertices, edges) in graphs.items():
@@ -286,8 +290,8 @@ def test_criterion_3_cover_from_every_paying_trace():
         ok = ok and (traces, contested, digest.hexdigest()) == VC_TRACE_COVERS[name]
     _verdict(
         3,
-        "a cover of size <= 2|V|+|E|-value from each of the 193 one-edge and 5183 "
-        "path-gadget traces that charge only 1s",
+        "a cover of size <= 2|V|+|E|-value from each of the 193 one-edge, 5183 "
+        "path-gadget and 18815 triangle-gadget traces that charge only 1s",
         ok,
     )
 
