@@ -26,7 +26,7 @@ class TooLarge(AuctionError):
 
 
 class PolicyViolation(AuctionError):
-    """An online policy broke the driver contract."""
+    """An online policy, or the action list `execute` runs, broke the driver contract."""
 
 
 class NonDeterministicPolicy(AuctionError):

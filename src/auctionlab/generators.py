@@ -11,16 +11,8 @@ from types import MappingProxyType
 from typing import Sequence
 
 from .errors import InvalidParams, NonDeterministicPolicy
-from .model import (
-    SKIP,
-    Action,
-    Assign,
-    AuctionTrace,
-    BudgetState,
-    Instance,
-    TraceStep,
-)
-from .online import OnlinePolicy, _decide
+from .model import SKIP, Action, Assign, BudgetState, Instance, _settle
+from .online import OnlinePolicy
 
 
 # ----------------------------------------------------------------------
@@ -87,8 +79,6 @@ def adversary_vs_policy(policy: OnlinePolicy, m: int) -> AdversaryTranscript:
     Until the policy first charges a positive price, every keyword brings
     two fresh bidders.  From then on, every keyword pairs the bidder the
     policy consumed with one fresh bidder, so no later allocation can pay.
-    The instance grows while the policy plays, so this settles keywords
-    itself instead of through `model.settle_all`.
     """
     if m < 1:
         raise InvalidParams(f"m must be >= 1, got {m}")
@@ -99,41 +89,27 @@ def adversary_vs_policy(policy: OnlinePolicy, m: int) -> AdversaryTranscript:
 
     policy.reset((), random.Random(0))
     state = BudgetState({})
-    budgets = MappingProxyType(state.remaining)
-    keywords: list[str] = []
-    bidder_order: list[str] = []
-    bids: dict[tuple[str, str], int] = {}
-    steps: list[TraceStep] = []
-    anchor: str | None = None
-    switch: int | None = None
+    pairs: list[tuple[str, str]] = []
 
-    def fresh(name: str) -> str:
-        bidder_order.append(name)
-        state.remaining[name] = 1
-        return name
+    def arrivals():
+        anchor = None
+        for t in range(1, m + 1):
+            pair = (f"a{t}", f"b{t}") if anchor is None else (anchor, f"c{t}")
+            pairs.append(pair)
+            for v in pair:
+                state.remaining.setdefault(v, 1)
+            yield f"u{t}", MappingProxyType(dict.fromkeys(pair, 1))
+            if anchor is None:
+                # a unit budget is spent only by the keyword its bidder won
+                anchor = next((v for v in pair if not state.remaining[v]), None)
 
-    for t in range(1, m + 1):
-        kw = f"u{t}"
-        keywords.append(kw)
-        if anchor is None:
-            row = {fresh(f"a{t}"): 1, fresh(f"b{t}"): 1}
-        else:
-            row = {anchor: 1, fresh(f"c{t}"): 1}
-        for v, amount in row.items():
-            bids[(kw, v)] = amount
-        action = _decide(policy, t - 1, kw, MappingProxyType(row), budgets)
-        price = state.settle(row, action)
-        steps.append(TraceStep(kw, action, price))
-        if anchor is None and price > 0:
-            anchor = action.first  # type: ignore[union-attr]
-            switch = t
-
+    trace = _settle(state, arrivals(), policy.decide)
     instance = Instance(
-        tuple(keywords), tuple((v, 1) for v in bidder_order), bids
+        tuple(s.keyword for s in trace.steps),
+        tuple((v, 1) for v in state.remaining),
+        {(s.keyword, v): 1 for s, pair in zip(trace.steps, pairs) for v in pair},
     )
-    trace = AuctionTrace(
-        tuple(steps), sum(s.price for s in steps), dict(state.remaining)
-    )
+    switch = next((t for t, s in enumerate(trace.steps, 1) if s.price), None)
     return AdversaryTranscript(instance, trace, switch)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, Union
 
-from .errors import NoPositiveBids, OrderingViolation, SameBidder, UnknownId
+from .errors import NoPositiveBids, OrderingViolation, PolicyViolation, SameBidder, UnknownId
 
 
 def _money(value: object, what: str) -> int:
@@ -58,6 +58,7 @@ class Assign:
 
 Action = Union[Skip, Assign]
 SKIP = Skip()
+_Decide = Callable[[int, str, Mapping[str, int], Mapping[str, int]], Action]
 
 
 @dataclass(frozen=True)
@@ -214,6 +215,7 @@ class BudgetState:
 
         For an assignment the first bidder's effective bid must be at least
         the second's, both evaluated under the current remaining budgets.
+        Anything that is neither an Assign nor a Skip raises PolicyViolation.
         """
         price = 0
         if isinstance(action, Assign):
@@ -226,6 +228,8 @@ class BudgetState:
                 )
             price = eff_second
             self.remaining[action.first] -= price
+        elif not isinstance(action, Skip):
+            raise PolicyViolation(f"policy returned {action!r}, not an action")
         self.step += 1
         return price
 
@@ -252,31 +256,39 @@ class AuctionTrace:
         return tuple(s.action for s in self.steps)
 
 
-def settle_all(
-    instance: Instance,
-    decide: Callable[[int, str, Mapping[str, int], Mapping[str, int]], Action],
+def _settle(
+    state: BudgetState, arrivals: Iterable[tuple[str, Mapping[str, int]]], decide: _Decide
 ) -> AuctionTrace:
-    """Settle each keyword in arrival order with `decide(step, keyword, bids, budgets)`.
+    """Settle each (keyword, bids) arrival with `decide(step, keyword, bids, budgets)`.
 
-    `decide` sees the keyword's positive bids and a read-only live view of
-    the remaining budgets, both before the keyword is settled.
+    The next arrival is drawn only after the previous one is settled, so an
+    adaptive source may build it from the budgets the run has left.
     """
-    state = BudgetState.start(instance)
     budgets = MappingProxyType(state.remaining)
     steps = []
-    for step, keyword in enumerate(instance.keywords):
-        bids = instance.positive_bids(keyword)
+    for step, (keyword, bids) in enumerate(arrivals):
         action = decide(step, keyword, bids, budgets)
         steps.append(TraceStep(keyword, action, state.settle(bids, action)))
     return AuctionTrace(tuple(steps), sum(s.price for s in steps), dict(state.remaining))
 
 
+def settle_all(instance: Instance, decide: _Decide) -> AuctionTrace:
+    """Settle each keyword in arrival order with `decide(step, keyword, bids, budgets)`.
+
+    `decide` sees the keyword's positive bids and a read-only live view of
+    the remaining budgets, both before the keyword is settled.
+    """
+    arrivals = ((u, instance.positive_bids(u)) for u in instance.keywords)
+    return _settle(BudgetState.start(instance), arrivals, decide)
+
+
 def execute(instance: Instance, actions: Sequence[Action]) -> AuctionTrace:
     """Run one action per keyword, in arrival order, under exact semantics.
 
-    Raises UnknownId for unknown bidders, SameBidder for degenerate pairs
-    (at Assign construction), and OrderingViolation when the first-price
-    bidder's effective bid drops below the second's.
+    The action list plays the policy's part.  Raises UnknownId for unknown
+    bidders, SameBidder for degenerate pairs (at Assign construction),
+    OrderingViolation when the first-price bidder's effective bid drops
+    below the second's, and PolicyViolation for a non-action.
     """
     acts = list(actions)
     if len(acts) != instance.m:

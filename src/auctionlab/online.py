@@ -13,13 +13,12 @@ is M.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InvalidParams, PolicyViolation
-from .model import SKIP, Action, Assign, Instance, Skip, settle_all
+from .model import SKIP, Action, Assign, Instance, settle_all
 from .oracles import Matching
 
 
@@ -271,12 +270,4 @@ def run_online(instance: Instance, policy: OnlinePolicy, seed: int | None = None
             pairs[keyword] = v
         return Matching(pairs)
 
-    return settle_all(instance, functools.partial(_decide, policy))
-
-
-def _decide(policy: OnlinePolicy, step, keyword, bids, budgets) -> Action:
-    """`policy.decide`, refusing a result that is not an action."""
-    action = policy.decide(step, keyword, bids, budgets)
-    if not isinstance(action, (Assign, Skip)):
-        raise PolicyViolation(f"policy returned {action!r}, not an action")
-    return action
+    return settle_all(instance, policy.decide)

@@ -592,7 +592,8 @@ ADVERSARY_BATTERY_DIGEST = "7b7345c01c9817c9fed36389151f8532e2d8c76e5d4b7e6f28b9
 def test_criterion_8_adversary_beats_every_deterministic_policy():
     # against the adaptive adversary a deterministic policy is one path
     # through the game tree: Skip or one of the two ordered pairs per
-    # keyword, so the legal scripts cover every deterministic policy
+    # keyword, so the legal scripts cover every deterministic policy (an
+    # assignment outside the row charges 0 and plays as a skip does)
     plays = [0] * 11
     optima = {}
     ok = True

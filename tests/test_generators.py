@@ -118,6 +118,25 @@ def test_adversary_transcript_is_a_real_instance():
     assert replay.value == transcript.policy_value
 
 
+def test_adversary_switches_on_the_first_positive_price_only():
+    # an assignment of two bidders outside the row charges 0 and leaves the
+    # game where a skip leaves it; the adversary switches on the payment after
+    class OffRow(OnlinePolicy):
+        deterministic = True
+
+        def decide(self, step, keyword, bids, budgets):
+            if step < 2:
+                return Assign("a1", "b1") if step else SKIP
+            a, b = bids
+            return Assign(a, b) if budgets[a] else Assign(b, a)
+
+    transcript = adversary_vs_policy(OffRow(), 5)
+    assert transcript.trace.prices() == (0, 0, 1, 0, 0)
+    assert transcript.switch_step == 3
+    assert transcript.instance.neighbors("u4") == ("a3", "c4")
+    assert opt_2pm(transcript.instance).value == 5
+
+
 def test_adversary_rejects_randomized_and_matching_policies():
     with pytest.raises(NonDeterministicPolicy):
         adversary_vs_policy(ranking_1p(), 3)

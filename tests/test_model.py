@@ -15,6 +15,7 @@ from auctionlab import (
     Instance,
     NoPositiveBids,
     OrderingViolation,
+    PolicyViolation,
     SameBidder,
     Skip,
     UnknownId,
@@ -123,6 +124,20 @@ def test_execute_rejects_unknown_bidders_and_wrong_length():
         execute(inst, [Assign("A", "Z")])
     with pytest.raises(ValueError):
         execute(inst, [])
+
+
+def test_execute_refuses_an_entry_that_is_not_an_action():
+    with pytest.raises(PolicyViolation, match=r"^policy returned \('A', 'B'\), not an action$"):
+        execute(one_keyword_instance(), [("A", "B")])
+
+
+def test_settle_refuses_a_non_action_and_keeps_its_state():
+    inst = one_keyword_instance()
+    state = BudgetState.start(inst)
+    with pytest.raises(PolicyViolation, match="^policy returned None, not an action$"):
+        state.settle(inst.positive_bids("u"), None)
+    assert state.remaining == {"A": 8, "B": 8}
+    assert state.step == 0
 
 
 def test_settle_steps_advance_and_charge():

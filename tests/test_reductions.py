@@ -9,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlab import (
+    SKIP,
     Assign,
+    AuctionTrace,
     BudgetState,
     Instance,
     InvalidParams,
     NotAPartition,
+    PolicyViolation,
+    TraceStep,
     UnknownId,
     UnresolvableSecondBidder,
     execute,
@@ -174,6 +178,16 @@ def test_cover_extracted_from_approximate_trace_is_valid():
     for s, t in gadget.edges:
         assert s in cover or t in cover
     assert len(cover) <= 2 * 4 + 5 - trace.value
+
+
+def test_cover_extraction_refuses_a_trace_step_that_is_not_an_action():
+    # the forged step would replay as a skip if only Assign were checked
+    gadget = vc_to_2pm(("a", "b"), (("a", "b"),))
+    steps = [TraceStep(u, SKIP, 0) for u in gadget.instance.keywords]
+    steps[-1] = TraceStep(steps[-1].keyword, ("a", "b"), 0)
+    trace = AuctionTrace(tuple(steps), 0, gadget.instance.initial_budgets())
+    with pytest.raises(PolicyViolation, match=r"^policy returned \('a', 'b'\), not an action$"):
+        extract_vertex_cover(gadget, trace)
 
 
 # ----------------------------------------------------------------------
