@@ -206,6 +206,8 @@ def _cmd_oracle(args, parser) -> int:
     instance, report = _checked_instance(args.input)
     if not report.ok:
         return 1
+    if args.node_limit < 0:
+        parser.error("--node-limit must be >= 0")
     res = _ORACLES[args.problem](instance, node_limit=args.node_limit)
     if args.stats:
         stats = res.stats

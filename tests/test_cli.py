@@ -434,6 +434,7 @@ def test_reduce_vertex_cover_requires_graph():
          2, "edge probability 2.0 outside [0, 1]"),
         (["solve", "--algorithm", "top-c", "--c", "0"], 2, "--c must be >= 1"),
         (["solve", "--algorithm", "greedy", "--k", "0"], 2, "--k must be >= 1"),
+        (["oracle", "--problem", "2pm", "--node-limit", "-1"], 2, "--node-limit must be >= 0"),
         (["reduce", "--from", "partition", "--weights", "1,2,3"], 2,
          "need an even positive number of weights, got 3"),
         (["reduce", "--from", "partition", "--weights", "1,1", "--c", "0"], 2,
@@ -458,7 +459,8 @@ def test_reduce_vertex_cover_requires_graph():
     ],
     ids=[
         "generate-chain-m", "generate-gap-k", "generate-adversary-policy",
-        "generate-random-2pm-p", "solve-c", "solve-k", "reduce-odd-weights", "reduce-c",
+        "generate-random-2pm-p", "solve-c", "solve-k", "oracle-node-limit",
+        "reduce-odd-weights", "reduce-c",
         "reduce-zero-weight", "reduce-unparsable-weight", "reduce-graph-content",
         "experiment-top-c", "experiment-top-c-max-bid", "generate-random-2pm-n",
         "generate-random-2pm-m", "generate-random-2paa-r", "generate-random-2paa-n",
@@ -469,7 +471,7 @@ def test_refused_values_exit_two_and_bad_data_exits_one(
 ):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "loop.txt").write_text("a b\na a\n")
-    if argv[0] == "solve":
+    if argv[0] in ("solve", "oracle"):
         argv = [*argv, "--input", str(instance_file)]
     if argv[0] == "reduce":
         argv = [*argv, "--out", "out.json"]
