@@ -601,15 +601,17 @@ def test_criterion_8_adversary_beats_every_deterministic_policy():
     for play, transcript in _legal_adversary_plays(10):
         m, switch = len(play), transcript.switch_step
         plays[m] += 1
-        # the instance depends only on the switch step and the charged bidder
-        charged = None if switch is None else transcript.trace.steps[switch - 1].action.first
-        key = (m, switch, charged)
+        # the instance depends only on m, the switch step and the charged
+        # bidder, and not on the charged bidder at a switch on the last
+        # keyword, so there are 2m - 1 instances for each m
+        key = json.dumps(instance_to_doc(transcript.instance))
         if key not in optima:
             optima[key] = opt_2pm(transcript.instance).value
         ok = ok and transcript.policy_value <= 1 and optima[key] == m
         doc = json.dumps([play, trace_to_doc(transcript.trace), switch])
         digest.update((doc + "\n").encode())
     ok = ok and plays[1:] == [2 ** (m + 1) - 1 for m in range(1, 11)]
+    ok = ok and len(optima) == sum(2 * m - 1 for m in range(1, 11))
     ok = ok and digest.hexdigest() == ADVERSARY_PLAYS_DIGEST
 
     battery = hashlib.sha256()
