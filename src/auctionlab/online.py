@@ -262,7 +262,11 @@ def run_online(instance: Instance, policy: OnlinePolicy, seed: int | None = None
             v = policy.choose(step, keyword, bids)
             if v is None:
                 continue
-            if v not in bids or v in taken:
+            try:
+                unavailable = v not in bids or v in taken
+            except TypeError:  # unhashable, so no bidder
+                unavailable = True
+            if unavailable:
                 raise PolicyViolation(
                     f"policy matched {keyword!r} to unavailable bidder {v!r}"
                 )

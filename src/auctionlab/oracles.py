@@ -17,7 +17,8 @@ strictly better than the best value found so far.  A choice is replaced only
 by a strictly better one, so values and witnesses are those of the unpruned
 search and node counts can only fall.  opt_2pm reads its second bound, the
 number of keywords that still have two uncharged neighbors, from counts its
-memo entries carry, so the bound costs O(1) per node.
+memo entries carry, so the bound costs O(1) per node; its third, the number
+of uncharged bidders still to come, costs one popcount.
 
 The budgeted searches clamp budgets to the bids still to come.  From
 keyword t on, a bidder is charged at most its own bid per keyword, so budget
@@ -265,6 +266,15 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
     single neighbor, so the charged child has at most viable - 1 (viable -
     2) viable keywords and, when Skip's value equals viable (viable - 1),
     cannot beat Skip.  Such a child is not searched.
+
+    Bidder bound: let U be the uncharged bidders of keywords t + 1 and
+    later.  After charging a bidder b of U, each later paying keyword
+    charges a distinct bidder of U - {b} and needs one more of them as its
+    second, so the child's optimum is at most max(0, |U| - 2).  When Skip's
+    value is positive and above |U| - 2, no charge of a bidder of U beats
+    Skip, and only bidders that bid on no later keyword are tried; their
+    child is Skip's state, so the first of them wins.  When Skip's value is
+    0 every charge beats it, so the bound keeps every child.
     """
     _require_unit(instance, "opt_2pm")
     nmask = [sum(1 << i for i in row) for row in _neighbor_rows(instance)]
@@ -294,6 +304,8 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
             skip, viable, once, twice = entry
             slack = viable - skip  # viable-keyword bound, see the docstring
             tries = avail & ~(once if slack == 0 else twice if slack == 1 else 0)
+            if skip and (fut & ~consumed).bit_count() - 2 < skip:  # bidder bound
+                tries &= ~fut
             value = skip
             while tries:
                 bit = tries & -tries

@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 
 from auctionlab import (
     Instance,
+    SearchStats,
     gap_instance,
     opt_2paa,
+    opt_2pm,
     partition_to_2paa,
     random_2paa,
+    random_2pm,
     reverse_match,
     top_c,
     unit_instance,
@@ -218,6 +221,20 @@ def test_oracle_stats_go_to_stderr_only(unit_file, capsys):
     assert plain.err == ""
     assert captured.err.startswith("stats: nodes=") and captured.err.count("\n") == 1
     assert captured.err.endswith(" max_depth=3\n")
+
+
+def test_oracle_stats_line_is_the_search_stats_of_the_pinned_draw(tmp_path, capsys):
+    inst = random_2pm(12, 12, 0.3, seed=0)
+    path = tmp_path / "draw.json"
+    with open(path, "w") as fp:
+        dump_instance(inst, fp)
+    assert main(["oracle", "--problem", "2pm", "--input", str(path), "--stats"]) == 0
+    stats = opt_2pm(inst).stats
+    assert stats == SearchStats(210, 210, 12)
+    assert capsys.readouterr().err == (
+        f"stats: nodes={stats.nodes} memo_entries={stats.memo_entries}"
+        f" max_depth={stats.max_depth}\n"
+    )
 
 
 DUPLICATE_KEYWORD = {

@@ -110,6 +110,29 @@ def test_matching_policy_cannot_pick_a_non_neighbor():
         run_online(pair_instance(), Rogue())
 
 
+def test_matching_policy_choice_that_cannot_be_hashed_is_refused():
+    class Rogue(OnlinePolicy):
+        kind = "matching"
+
+        def choose(self, step, keyword, bids):
+            return ["a"]
+
+    inst = unit_instance({"u1": ["a", "b"]})
+    with pytest.raises(PolicyViolation, match=r"policy matched 'u1' to unavailable bidder \['a'\]"):
+        run_online(inst, Rogue())
+
+
+def test_matching_policy_may_use_bidder_ids_that_are_not_str():
+    class First(OnlinePolicy):
+        kind = "matching"
+
+        def choose(self, step, keyword, bids):
+            return next(iter(bids))
+
+    inst = Instance(("u1", "u2"), ((1, 1), (("t", 2), 1)), {("u1", 1): 1, ("u2", ("t", 2)): 1})
+    assert run_online(inst, First()).pairs == {"u1": 1, "u2": ("t", 2)}
+
+
 def test_decisions_depend_only_on_the_revealed_prefix():
     shared = {"u1": ["a", "b"], "u2": ["b", "c"]}
     inst_x = unit_instance({**shared, "u3": ["a", "c"]}, bidders=["a", "b", "c"])

@@ -9,7 +9,9 @@ clamps; the pruned ones must return the same values and witnesses.
 """
 
 import gc
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -39,6 +41,7 @@ from auctionlab import (
     unit_instance,
 )
 from auctionlab.errors import UnknownId
+from auctionlab.formats import trace_to_doc
 
 
 def six_cycle():
@@ -284,6 +287,31 @@ def test_opt_2pm_matches_every_action_sequence_on_three_bidders(m):
         result = opt_2pm(inst)
         assert result.value == _every_2pm_value(inst), columns
         assert execute(inst, result.witness.actions()).value == result.value
+
+
+def test_opt_2pm_charges_the_lowest_bidder_that_beats_skip():
+    # Skip is worth 0 and a charge of a or b on u1 pays 1: a has the lower
+    # index, though it is the one that bids again later
+    result = opt_2pm(unit_instance({"u1": ["a", "b"], "u2": ["a"]}))
+    assert result.witness.actions() == (Assign("a", "b"), SKIP)
+
+
+def test_opt_2pm_on_every_labelled_3x3_instance_matches_its_digest():
+    # every 0/1 instance with keywords u0..u2 and bidders a..c, labels kept:
+    # the class tests list bidder columns in ascending order, so there a
+    # bidder that bids later always has the higher index.  Digest of the
+    # values and witnesses taken before the bidder bound.
+    bidders = ("a", "b", "c")
+    rows = [c for r in range(4) for c in itertools.combinations(bidders, r)]
+    docs = []
+    for chosen in itertools.product(rows, repeat=3):
+        inst = unit_instance({f"u{i}": list(row) for i, row in enumerate(chosen)}, bidders=bidders)
+        result = opt_2pm(inst)
+        docs.append(json.dumps([result.value, trace_to_doc(result.witness)]))
+    assert len(docs) == 512
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == (
+        "bda2d96eb964e853dc59dfdec1ced068c5c3ebbe6a7733d67aa522800b565054"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -656,14 +684,15 @@ def test_unpruned_searches_reproduce_the_node_counts_measured_before_pruning():
     counts = [search(make())[2] for search, (_, make) in zip(unpruned, NODE_INSTANCES)]
     assert counts == [4466, 2595, 8573]
     # and the bounds cut them to
-    assert [oracle(make()).stats.nodes for oracle, make in NODE_INSTANCES] == [1121, 938, 152]
+    assert [oracle(make()).stats.nodes for oracle, make in NODE_INSTANCES] == [210, 938, 152]
 
 
-def test_viable_keyword_bound_halves_the_nodes_of_64_draws():
-    # 97,728 with only the bound that stops at 1 + Skip; dropping either
-    # case of the viable-keyword bound raises the total
+def test_viable_keyword_and_bidder_bounds_cut_the_nodes_of_64_draws():
+    # 97,728 with only the bound that stops at 1 + Skip, 50,599 with the
+    # viable-keyword bound too; dropping either case of the viable-keyword
+    # bound, or the bidder bound, raises the total
     total = sum(opt_2pm(random_2pm(12, 12, 0.3, seed=s)).stats.nodes for s in range(64))
-    assert total == 50_599
+    assert total == 25_282
 
 
 @settings(max_examples=80, deadline=None)
