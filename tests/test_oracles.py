@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -537,6 +538,27 @@ def test_opt_2paa_max_depth_stops_before_keywords_that_cannot_pay():
     assert result.value == opt_2paa(base).value
     assert opt_2pm(_deep_unit(3)).stats.max_depth == 3
     assert opt_1paa(Instance((), (("A", 1),), {})).stats.max_depth == 0
+
+
+def test_budgeted_searches_match_their_digest():
+    # values, witnesses and stats of both budgeted searches on 64 tight-budget
+    # draws and the trailing-keyword instance above; a search that broke a tie
+    # differently or counted its nodes differently would change the digest.
+    # Digest taken before the two searches shared one search frame.
+    instances = [random_2paa(8, 4, 9, 1, seed=s) for s in range(64)]
+    base = random_2paa(6, 4, 9, 1, seed=2)
+    bids = {**base.bids, ("t1", base.bidder_ids[0]): 1}
+    instances.append(Instance(base.keywords + ("t1", "t2"), base.bidders, bids))
+    docs = []
+    for inst in instances:
+        second, first = opt_2paa(inst), opt_1paa(inst)
+        docs.append(json.dumps([
+            [second.value, trace_to_doc(second.witness), list(astuple(second.stats))],
+            [first.value, first.witness, list(astuple(first.stats))],
+        ]))
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == (
+        "1a60aad24307f09af0a3e5427afa0c631b82b7360869589ab3b55d105cab3515"
+    )
 
 
 def test_stats_do_not_take_part_in_equality():
