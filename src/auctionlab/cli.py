@@ -10,7 +10,7 @@ import warnings
 from typing import Sequence
 
 from . import formats
-from .errors import AuctionError, InvalidParams
+from .errors import AuctionError, InvalidParams, _quoted
 from .generators import (
     adversary_vs_policy,
     gap_instance,
@@ -56,13 +56,6 @@ _OFFLINE = {"top-c": (top_c, True), "reverse-match": (reverse_match, False)}
 _ORACLES = {"2pm": opt_2pm, "2paa": opt_2paa, "1paa": opt_1paa}
 
 
-def _quoted(text: str) -> str:
-    """repr(text), with the middle of a long text cut out so an error line stays short."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:20] + '...' + text[-20:]!r} ({len(text)} characters)"
-
-
 def _parse_params(text: str | None) -> dict[str, str]:
     if not text:
         return {}
@@ -74,7 +67,10 @@ def _parse_params(text: str | None) -> dict[str, str]:
         key, sep, value = chunk.partition("=")
         if not sep or not key:
             raise ValueError(f"bad parameter {_quoted(chunk)}, expected key=value")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"duplicate parameter {_quoted(key)}")
+        out[key] = value.strip()
     return out
 
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote given text."""
+
+
+def _quoted(text: str) -> str:
+    """repr(text), with the middle of a long text cut out so an error line stays short."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20] + '...' + text[-20:]!r} ({len(text)} characters)"
 
 
 class AuctionError(Exception):

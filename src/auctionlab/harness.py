@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .errors import EmptyStream, InvalidParams, TooLarge, UnknownSuite
+from .errors import EmptyStream, InvalidParams, TooLarge, UnknownSuite, _quoted
 from .generators import (
     adversary_vs_policy,
     perfect_matchable_2pm,
@@ -99,18 +99,22 @@ def _descriptor_int(descriptor: str, key: str) -> int:
 
 def _merge_params(where: str, defaults: Mapping, given: Mapping | None) -> dict:
     """`defaults` overridden by `given`, each value converted to its default's
-    type.  A string is parsed (int("2.7") raises ValueError); otherwise an int
-    parameter takes only an int and a float one an int or a float, never a
-    bool; anything else raises InvalidParams naming `where`, key and value."""
+    type.  A string is parsed (int("2.7") fails); otherwise an int parameter
+    takes only an int and a float one an int or a float, never a bool; a
+    value refused either way raises InvalidParams naming `where`, key and value."""
     merged = dict(defaults)
     for key, raw in (given or {}).items():
         if key not in merged:
             raise InvalidParams(f"{where} has no parameter {key!r}")
         kind = type(merged[key])
         allowed = (str,) if kind is str else (str, int, kind)
+        refused = f"{where} parameter {key!r} must be {kind.__name__}, got"
         if isinstance(raw, bool) or not isinstance(raw, allowed):
-            raise InvalidParams(f"{where} parameter {key!r} must be {kind.__name__}, got {raw!r}")
-        merged[key] = kind(raw)
+            raise InvalidParams(f"{refused} {raw!r}")
+        try:
+            merged[key] = kind(raw)
+        except ValueError:
+            raise InvalidParams(f"{refused} {_quoted(raw)}") from None
     return merged
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleTrace, InvalidParams, NoPositiveBids
 from .model import SKIP, Action, Assign, AuctionTrace, Instance, execute, r_min, settle_all
-from .oracles import _matching_owners, _neighbor_rows, second_bid_upper_bound
+from .oracles import _matching_owners, _neighbor_rows, _require_unit, second_bid_upper_bound
 
 
 def top_c(instance: Instance, c: int) -> AuctionTrace:
@@ -67,8 +67,7 @@ def reverse_match(instance: Instance) -> AuctionTrace:
     second.  Every assignment charges exactly 1, so the value is at least
     half the matching size, rounded up.
     """
-    if not instance.is_unit():
-        raise InvalidParams("reverse_match needs an all-ones instance")
+    _require_unit(instance, "reverse_match")
 
     rows = _neighbor_rows(instance)
     thin = sum(len(row) < 2 for row in rows)

@@ -12,6 +12,13 @@ table before recursing, so a memo hit is a dict lookup rather than a call,
 and the table one past the last searched depth holds the empty suffix.  A
 node is counted where a state is expanded, as in the plain recursive search.
 
+opt_2paa and opt_1paa run on one frame, `_budget_search`, which owns the memo
+tables, the node count and limit, the root call, the walk that replays each
+step's stored choice from the root budgets, and the stats.  Each search keeps
+its table set-up, its expand loop and its witness.  opt_2pm stays apart: its
+bitmask state, its memo entries carrying bound counts and its choice tables
+share nothing with the frame but the root call.
+
 Each search also skips children that an exact upper bound shows cannot be
 strictly better than the best value found so far.  A choice is replaced only
 by a strictly better one, so values and witnesses are those of the unpruned
@@ -178,7 +185,7 @@ def _budget_rows(
     index, keywords = instance.bidder_index, instance.keywords
     m = len(keywords)
     rows: list[tuple[tuple[int, int, int], ...]] = [()] * m
-    future: list[tuple[int, ...]] = [()] * (m + 1)
+    future: list[tuple[int, ...]] = [()] * m
     later = [0] * len(instance.bidders)
     bidding: set[int] = set()
     for t in range(m - 1, -1, -1):
@@ -204,20 +211,6 @@ def _no_key(rem: list[int]) -> tuple[()]:
     return ()
 
 
-def _projectors(future: Sequence[tuple[int, ...]]) -> list[Callable[[list[int]], object]]:
-    """Per step, the map from a budget list to its memo key on `future[t]`.
-
-    One index gives a scalar key and none gives (); keys of different steps
-    live in different tables, so they never meet.
-    """
-    return [itemgetter(*f) if f else _no_key for f in future]
-
-
-def _memos(depth: int, empty_key: object) -> list[dict]:
-    """Per-step memo tables; the one at `depth` holds the empty suffix (0, no choice)."""
-    return [{} for _ in range(depth)] + [{empty_key: (0, None)}]
-
-
 def _search_root(name: str, m: int, best: Callable[..., int], *root) -> int:
     """Run a recursive search from its root; too deep a search is TooLarge."""
     try:
@@ -233,6 +226,51 @@ def _search_stats(nodes: int, memos: Sequence[dict]) -> SearchStats:
     every depth before it, so the non-empty tables are a prefix.
     """
     return SearchStats(nodes, sum(map(len, memos)), sum(1 for memo in memos if memo))
+
+
+def _budget_search(
+    name: str,
+    node_limit: int,
+    rows: Sequence[tuple[tuple[int, int, int], ...]],
+    future: Sequence[tuple[int, ...]],
+    rem: list[int],
+    expand: Callable[..., tuple[int, object]],
+) -> tuple[int, list, SearchStats]:
+    """Search keywords 0 .. len(future) - 1 from the root budgets `rem`.
+
+    A state at step t is keyed by its budgets on `future[t]` (one index gives
+    a scalar key, none gives ()).  `expand(t, rem, memo, key, best)` returns a
+    state's (value, choice), probing step t + 1's `memo` under `key` before
+    calling `best(t + 1, child)`.  A choice is None for Skip, else a tuple
+    whose first item is the charged bidder and last its price.  Returns the
+    value, the choices along the optimal path and the stats.
+    """
+    keys = [itemgetter(*f) if f else _no_key for f in future] + [_no_key]
+    depth = len(future)
+    memos: list[dict] = [{} for _ in range(depth)] + [{(): (0, None)}]
+    nodes = 0
+
+    def best(t: int, rem: list[int]) -> int:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise TooLarge(f"{name} exceeded node limit {node_limit}")
+        entry = memos[t][keys[t](rem)] = expand(t, rem, memos[t + 1], keys[t + 1], best)
+        return entry[0]
+
+    try:
+        total = _search_root(name, len(rows), best, 0, rem) if depth else 0
+    finally:
+        del best  # the closure holds itself through this cell; free the tables with it
+
+    choices = []
+    for t in range(depth):
+        choice = memos[t][keys[t](rem)][1]
+        choices.append(choice)
+        if choice is not None:
+            rem[choice[0]] -= choice[-1]
+        rem = _clamped(rem, rows[t])
+    return total, choices, _search_stats(nodes, memos[:depth])
 
 
 def _check_replay(value: int, total: int) -> None:
@@ -390,18 +428,9 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
         suffix[t] = suffix[t + 1] + s_u[t]
     # no keyword from `depth` on can charge a positive price
     depth = suffix.index(0)
-    keys = _projectors(future[:depth] + [()])
 
-    memos = _memos(depth, ())
-    nodes = 0
-
-    def best(t: int, rem: list[int]) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise TooLarge(f"opt_2paa exceeded node limit {node_limit}")
-        memo, key, later = memos[t + 1], keys[t + 1], suffix[t + 1]
-        row = rows[t]
+    def expand(t: int, rem: list[int], memo: dict, key: Callable, best: Callable) -> tuple:
+        later, row = suffix[t + 1], rows[t]
         skip = _clamped(rem, row)
         hit = memo.get(key(skip))
         value = hit[0] if hit is not None else best(t + 1, skip)
@@ -423,30 +452,15 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
                     value, choice = got, (first, second, eff2)
                     if eff2 + later <= value:
                         break
-        memos[t][keys[t](rem)] = (value, choice)
-        return value
+        return value, choice
 
     rem = [b for _, b in instance.bidders]
-    try:
-        total = _search_root("opt_2paa", m, best, 0, rem) if depth else 0
-    finally:
-        del best  # the closure holds itself through this cell; free the tables with it
-
+    total, path, stats = _budget_search("opt_2paa", node_limit, rows, future[:depth], rem, expand)
     ids = instance.bidder_ids
-    actions = []
-    for t in range(depth):
-        choice = memos[t][keys[t](rem)][1]
-        if choice is None:
-            actions.append(SKIP)
-        else:
-            first, second, price = choice
-            actions.append(Assign(ids[first], ids[second]))
-            rem[first] -= price
-        rem = _clamped(rem, rows[t])
-    actions.extend([SKIP] * (m - depth))
-    trace = execute(instance, actions)
+    actions = [SKIP if c is None else Assign(ids[c[0]], ids[c[1]]) for c in path]
+    trace = execute(instance, actions + [SKIP] * (m - depth))
     _check_replay(trace.value, total)
-    return OptResult(total, trace, _search_stats(nodes, memos[:depth]))
+    return OptResult(total, trace, stats)
 
 
 def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResult:
@@ -469,18 +483,8 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
     clamp.
     """
     rows, future, totals = _budget_rows(instance)
-    keys = _projectors(future)
-    m = instance.m
 
-    memos = _memos(m, ())
-    nodes = 0
-
-    def best(t: int, rem: list[int]) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise TooLarge(f"opt_1paa exceeded node limit {node_limit}")
-        memo, key = memos[t + 1], keys[t + 1]
+    def expand(t: int, rem: list[int], memo: dict, key: Callable, best: Callable) -> tuple:
         row = rows[t]
         base = _clamped(rem, row)
         hit = memo.get(key(base))
@@ -500,26 +504,14 @@ def opt_1paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
             got = eff + (hit[0] if hit is not None else best(t + 1, child))
             if got > value:
                 value, choice = got, (winner, eff)
-        memos[t][keys[t](rem)] = (value, choice)
-        return value
+        return value, choice
 
     rem = [min(b, most) for (_, b), most in zip(instance.bidders, totals)]
-    try:
-        total = _search_root("opt_1paa", m, best, 0, rem) if m else 0
-    finally:
-        del best  # the closure holds itself through this cell; free the tables with it
-
+    total, path, stats = _budget_search("opt_1paa", node_limit, rows, future, rem, expand)
     ids = instance.bidder_ids
-    winners: dict[str, str] = {}
-    for t in range(m):
-        choice = memos[t][keys[t](rem)][1]
-        if choice is not None:
-            winner, price = choice
-            winners[instance.keywords[t]] = ids[winner]
-            rem[winner] -= price
-        rem = _clamped(rem, rows[t])
+    winners = {u: ids[c[0]] for u, c in zip(instance.keywords, path) if c is not None}
     _check_replay(first_price_value(instance, winners), total)
-    return OptResult(total, winners, _search_stats(nodes, memos[:m]))
+    return OptResult(total, winners, stats)
 
 
 def first_price_value(instance: Instance, winners: Mapping[str, str]) -> int:

@@ -473,6 +473,10 @@ def test_reduce_vertex_cover_requires_graph():
          2, "target_r_min must be >= 1, got 0"),
         (["generate", "--family", "random-2paa", "--seed", "1", "--params", "num_bidders=0"],
          2, "num_bidders must be >= 1, got 0"),
+        (["experiment", "--suite", "greedy-chain", "--seed", "1", "--trials", "3",
+          "--params", "m=x"], 2, "suite 'greedy-chain' parameter 'm' must be int, got 'x'"),
+        (["experiment", "--suite", "greedy-chain", "--seed", "1", "--trials", "3",
+          "--params", "m=3,m=5"], 2, "duplicate parameter 'm'"),
     ],
     ids=[
         "generate-chain-m", "generate-gap-k", "generate-adversary-policy",
@@ -481,6 +485,7 @@ def test_reduce_vertex_cover_requires_graph():
         "reduce-zero-weight", "reduce-unparsable-weight", "reduce-graph-content",
         "experiment-top-c", "experiment-top-c-max-bid", "generate-random-2pm-n",
         "generate-random-2pm-m", "generate-random-2paa-r", "generate-random-2paa-n",
+        "experiment-unparsable-param", "experiment-duplicate-param",
     ],
 )
 def test_refused_values_exit_two_and_bad_data_exits_one(

@@ -185,12 +185,15 @@ def test_run_experiment_validates_inputs():
     with pytest.raises(InvalidParams):
         run_experiment("greedy-chain", params={"height": 3}, trials=5, seed=0)
     # no silent truncation: an int parameter takes only an int, a float one
-    # an int or a float, and neither takes a bool
+    # an int or a float, and neither takes a bool; a string must parse
     for suite, key, value, kind in (
         ("greedy-chain", "m", 2.7, "int"),
         ("greedy-chain", "m", True, "int"),
         ("ranking-simulate", "extra_edge_prob", True, "float"),
         ("ranking-simulate", "extra_edge_prob", None, "float"),
+        ("greedy-chain", "m", "x", "int"),
+        ("greedy-chain", "m", "2.7", "int"),
+        ("ranking-simulate", "extra_edge_prob", "x", "float"),
     ):
         with pytest.raises(InvalidParams) as err:
             run_experiment(suite, params={key: value}, trials=5, seed=0)

@@ -1,13 +1,33 @@
-"""Source lint: certificate checks must survive `python -O`, and auction values stay exact."""
+"""Source lint: certificate checks must survive `python -O`, auction values stay exact, and
+every file keeps to the oldest grammar that pyproject.toml allows."""
 
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "auctionlab").glob("*.py"))
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "auctionlab").glob("*.py"))
 
 
 def test_sources_are_found():
     assert any(path.name == "model.py" for path in SOURCES)
+
+
+# every file parses as Python 3.10, the oldest that pyproject.toml allows,
+# even on a newer interpreter.  This checks grammar only (3.11's `except*`
+# fails), not whether the library calls it makes exist in 3.10.
+OLDEST = (3, 10)
+
+
+def test_every_file_parses_with_the_oldest_supported_grammar():
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert Path(__file__).resolve() in files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST)
 
 
 def test_no_bare_assert_in_package_sources():

@@ -141,7 +141,8 @@ def test_reverse_match_drops_degree_one_keywords_with_warning():
 
 def test_reverse_match_rejects_weighted_instances():
     inst = Instance(("u",), (("A", 2), ("B", 1)), {("u", "A"): 2, ("u", "B"): 1})
-    with pytest.raises(InvalidParams):
+    message = r"reverse_match needs an all-ones instance \(budgets 1, bids 0/1\)"
+    with pytest.raises(InvalidParams, match=message):
         reverse_match(inst)
 
 
