@@ -263,7 +263,8 @@ def test_random_2paa_reproducible_and_checked():
 
 
 # SHA-256 of the newline-joined `instance_to_doc` JSON over seeds 0..N-1,
-# taken when the samplers still drew one random() or randint() per cell; the
+# taken when the samplers still drew one random() or randint() per cell (and,
+# for perfect_matchable_2pm, when it padded rows of ids with its own loop); the
 # row-at-a-time draws must reproduce every byte
 GOLDEN_SAMPLES = {
     "random_2pm(2000, 2000, 0.002)": (
@@ -293,6 +294,14 @@ GOLDEN_SAMPLES = {
     "random_2paa(6, 5, 2**40, 3)": (
         lambda s: random_2paa(6, 5, 2**40, 3, seed=s), 10,
         "641967b2eeeb4948b026a337412b68e780c37278c24a7a7070de59aff778bc9e",
+    ),
+    "perfect_matchable_2pm(8, 0.3)": (
+        lambda s: perfect_matchable_2pm(8, 0.3, seed=s), 50,
+        "14aa3e31ed8443f76dbe664829b00ca0476c51cdcbd8f4781bf48918c70d4994",
+    ),
+    "perfect_matchable_2pm(6, 0.0)": (  # pads every keyword
+        lambda s: perfect_matchable_2pm(6, 0.0, seed=s), 20,
+        "a90b60811c4897e9b9d2be714368edc9e7fa2b4e746c6ee26606ff0a98e4f08c",
     ),
 }
 

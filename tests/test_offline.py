@@ -1,6 +1,9 @@
 """Offline algorithms: top-c selection and reverse-order matching."""
 
+import hashlib
+import json
 import math
+import warnings
 
 import pytest
 
@@ -20,6 +23,7 @@ from auctionlab import (
     top_c_bound,
     unit_instance,
 )
+from auctionlab.formats import trace_to_doc
 
 
 def three_keyword_instance():
@@ -101,6 +105,31 @@ def test_top_c_value_is_sum_of_largest_runner_ups():
         )
         tops = sorted((second_highest(inst, u) for u in inst.keywords), reverse=True)
         assert top_c(inst, c).value == sum(tops[:c])
+
+
+def _top_c_digest(instances):
+    """SHA-256 of the newline-joined `trace_to_doc` JSON of top_c for c = 1..7."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "r_min below")
+        docs = [json.dumps(trace_to_doc(top_c(inst, c))) for inst in instances for c in range(1, 8)]
+    return hashlib.sha256("\n".join(docs).encode()).hexdigest()
+
+
+def test_top_c_traces_match_their_digest():
+    # max_bid 2 gives tied bids, empty rows and one-bidder rows, so the digest
+    # fixes which tied keyword is chosen and which tied bidders form the pair
+    instances = [random_2paa(6, 5, 2, 1, seed=s) for s in range(64)]
+    assert _top_c_digest(instances) == "fb5ef872394e4a3977088ae5d36c68ea714d6090fc103526fcad75a3bce499c9"
+
+
+def test_top_c_traces_with_one_bidder_match_their_digest():
+    # no lead has a possible second: one bidder, or one id listed twice
+    instances = [random_2paa(6, 1, 2, 1, seed=s) for s in range(16)]
+    instances.append(Instance(("u", "w"), (("a", 5), ("a", 5)), {("u", "a"): 3, ("w", "a"): 2}))
+    instances.append(
+        Instance(("u", "w"), (("a", 5), ("a", 5), ("b", 4)), {("u", "a"): 3, ("w", "a"): 2, ("w", "b"): 2})
+    )
+    assert _top_c_digest(instances) == "7de23a1d1c33009b56348fa074172a7a3728e8e8fefee2270d0df34b8c32b317"
 
 
 # ----------------------------------------------------------------------
