@@ -11,7 +11,7 @@ from types import MappingProxyType
 from typing import Sequence
 
 from .errors import InvalidParams, NonDeterministicPolicy
-from .model import Action, Assign, BudgetState, Instance, _settle
+from .model import Action, Assign, AuctionTrace, BudgetState, Instance, _settle
 from .online import OnlinePolicy
 
 

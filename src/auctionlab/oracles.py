@@ -45,7 +45,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .errors import InfeasibleTrace, InvalidParams, TooLarge
-from .model import SKIP, Assign, AuctionTrace, Instance, _winner_pairs, execute
+from .model import SKIP, Assign, Instance, _winner_pairs, execute
 
 DEFAULT_NODE_LIMIT = 2_000_000
 

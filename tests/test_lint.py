@@ -1,7 +1,11 @@
-"""Source lint: certificate checks must survive `python -O`, auction values stay exact, and
-every file keeps to the oldest grammar that pyproject.toml allows."""
+"""Source lint: certificate checks must survive `python -O`, auction values stay exact,
+every file keeps to the oldest grammar that pyproject.toml allows, annotations resolve and
+no module imports a name it does not use."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -98,3 +102,51 @@ def test_export_list_matches_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(auctionlab.__all__) == bound | {"__version__"}
+
+
+# every annotation names something the module can resolve: with postponed
+# evaluation a missing import only fails when the hints are read
+def _defined(module):
+    for name, value in vars(module).items():
+        if (inspect.isclass(value) or inspect.isfunction(value)) and value.__module__ == module.__name__:
+            yield name, value
+            if inspect.isclass(value):
+                yield from ((f"{name}.{k}", v) for k, v in vars(value).items() if inspect.isfunction(v))
+
+
+def test_every_annotation_resolves():
+    found = []
+    for path in SOURCES:
+        module = importlib.import_module(f"auctionlab.{path.stem}")
+        for name, value in _defined(module):
+            try:
+                typing.get_type_hints(value)
+            except NameError as exc:
+                found.append(f"{path.name} {name}: {exc}")
+    assert not found, "unresolvable annotation in " + ", ".join(found)
+
+
+# a module imports only what it uses (the package's __init__ re-exports)
+def _unused_imports(tree):
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert not found, "unused import in " + ", ".join(found)
+
+
+def test_unused_import_lint_reads_names_not_text():
+    sample = "import os.path\nfrom a import b, c as d\nfrom __future__ import annotations\nx = d\n'b'\n"
+    assert _unused_imports(ast.parse(sample)) == [(1, "os"), (2, "b")]
