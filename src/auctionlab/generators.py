@@ -247,6 +247,17 @@ def _at_least(**bounds: tuple[int, int]) -> None:
             raise InvalidParams(f"{name} must be >= {low}, got {value}")
 
 
+def _pad_row(rng: random.Random, row: list[int], n: int) -> list[int]:
+    """Append uniform free bidder indices below n until `row` has two."""
+    while len(row) < 2:
+        # the r-th bidder not in the row, in index order
+        r = rng.randrange(n - len(row))
+        for j in sorted(row):
+            r += j <= r
+        row.append(r)
+    return row
+
+
 def random_2pm(
     num_keywords: int,
     num_bidders: int,
@@ -266,14 +277,7 @@ def random_2pm(
     bidder_ids = tuple(f"v{j}" for j in range(1, num_bidders + 1))
     bids: dict[tuple[str, str], int] = {}
     for u in keywords:
-        row = _bernoulli_row(rng, num_bidders, edge_probability)
-        while len(row) < 2:
-            # the r-th bidder not in the row, in index order
-            r = rng.randrange(num_bidders - len(row))
-            for j in sorted(row):
-                r += j <= r
-            row.append(r)
-        for j in row:
+        for j in _pad_row(rng, _bernoulli_row(rng, num_bidders, edge_probability), num_bidders):
             bids[(u, bidder_ids[j])] = 1
     return Instance(keywords, tuple((v, 1) for v in bidder_ids), bids)
 
@@ -315,7 +319,8 @@ def perfect_matchable_2pm(
     """All-ones n-by-n instance containing a perfect matching, degrees >= 2.
 
     A random perfect matching is planted, Bernoulli extras added, and thin
-    keywords padded; padding preserves the planted matching.
+    keywords padded by `random_2pm`'s rule (a uniform free bidder, until two);
+    padding preserves the planted matching.
     """
     if n < 2:
         raise InvalidParams(f"need n >= 2, got {n}")
@@ -324,18 +329,13 @@ def perfect_matchable_2pm(
     rng = random.Random(seed)
     keywords = tuple(f"u{i}" for i in range(1, n + 1))
     bidder_ids = tuple(f"v{j}" for j in range(1, n + 1))
-    planted = list(bidder_ids)
+    planted = list(range(n))
     rng.shuffle(planted)
     bids: dict[tuple[str, str], int] = {}
     for u, mate in zip(keywords, planted):
-        row = {mate}
-        # one draw at a time: on rows this narrow (the suites use n <= 8) a
-        # bulk `_bernoulli_row` costs more than it saves
-        row.update(v for v in bidder_ids if rng.random() < extra_edge_prob)
-        while len(row) < 2:
-            extra = [v for v in bidder_ids if v not in row]
-            row.add(extra[rng.randrange(len(extra))])
-        for v in bidder_ids:  # index order; set order varies with the hash seed
-            if v in row:
-                bids[(u, v)] = 1
+        # one draw per index, the mate's too: on rows this narrow (the suites
+        # use n <= 8) a bulk `_bernoulli_row` costs more than it saves
+        row = [j for j in range(n) if rng.random() < extra_edge_prob or j == mate]
+        for j in sorted(_pad_row(rng, row, n)):
+            bids[(u, bidder_ids[j])] = 1
     return Instance(keywords, tuple((v, 1) for v in bidder_ids), bids)

@@ -3,46 +3,43 @@
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from fractions import Fraction
 
-from .errors import InfeasibleTrace, InvalidParams, NoPositiveBids
+from .errors import InfeasibleTrace, InvalidParams, NoPositiveBids, UnresolvableSecondBidder
 from .model import SKIP, Action, Assign, AuctionTrace, Instance, execute, r_min, settle_all
-from .oracles import _matching_owners, _neighbor_rows, _require_unit, second_bid_upper_bound
+from .oracles import _matching_owners, _neighbor_rows, _require_unit, _second_bids
+from .reductions import resolve_second_bidder
 
 
 def top_c(instance: Instance, c: int) -> AuctionTrace:
     """Allocate the c keywords with the highest second-highest bid.
 
-    Each chosen keyword goes to its two highest original bidders (ties:
-    lowest arrival index among keywords, lowest bidder index within a
-    keyword).  When every bidder's budget covers c of its own bids, no
+    Each chosen keyword goes to its highest original bidder and that
+    bidder's `resolve_second_bidder`, if any (ties: earliest keyword, lowest
+    bidder index).  When every bidder's budget covers c of its own bids, no
     truncation occurs and the value is at least (c/m) of the sum of
     second-highest bids; otherwise a warning is issued and the pair is
     oriented by current effective bids so the trace stays legal.
     """
     if c < 1:
         raise InvalidParams(f"c must be >= 1, got {c}")
-    try:
+    with suppress(NoPositiveBids):
         if r_min(instance) < c:
             warnings.warn(
                 f"r_min below {c}: the no-truncation guarantee does not apply",
                 stacklevel=2,
             )
-    except NoPositiveBids:
-        pass
 
-    ranked = []
-    for u in instance.keywords:
-        row = instance.positive_bids(u)
-        # rows are in bidder-index order, so the stable sort breaks ties by index
-        top2 = sorted(row, key=row.__getitem__, reverse=True)[:2]
-        ranked.append((row[top2[1]] if len(top2) >= 2 else 0, u, top2))
-    chosen: dict[str, list[str]] = {}
-    for _, u, top2 in sorted(ranked, key=lambda r: -r[0])[:c]:
-        if len(top2) == 1:
-            top2 += [v for v, _ in instance.bidders if v != top2[0]][:1]
-        if len(top2) == 2:
-            chosen[u] = top2
+    seconds = _second_bids(instance)
+    chosen: dict[str, tuple[str, str]] = {}
+    # the sort is stable, so the earliest of equal keywords comes first
+    for t in sorted(range(instance.m), key=seconds.__getitem__, reverse=True)[:c]:
+        u = instance.keywords[t]
+        if row := instance.positive_bids(u):
+            lead = max(row, key=row.__getitem__)  # rows are in bidder-index order
+            with suppress(UnresolvableSecondBidder):  # no other bidder: u is skipped
+                chosen[u] = (lead, resolve_second_bidder(instance, u, lead))
 
     def decide(step, u, row, budgets):
         if u not in chosen:
@@ -105,4 +102,4 @@ def top_c_bound(instance: Instance, c: int) -> Fraction:
     """The guaranteed value (c/m) * sum of second-highest bids, as a rational."""
     if instance.m == 0:
         return Fraction(0)
-    return Fraction(min(c, instance.m), instance.m) * second_bid_upper_bound(instance)
+    return Fraction(min(c, instance.m), instance.m) * sum(_second_bids(instance))
