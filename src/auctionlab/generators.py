@@ -336,6 +336,8 @@ def perfect_matchable_2pm(
         # one draw per index, the mate's too: on rows this narrow (the suites
         # use n <= 8) a bulk `_bernoulli_row` costs more than it saves
         row = [j for j in range(n) if rng.random() < extra_edge_prob or j == mate]
-        for j in sorted(_pad_row(rng, row, n)):
+        if len(row) < 2:  # padding appends; bids go in index order
+            _pad_row(rng, row, n).sort()
+        for j in row:
             bids[(u, bidder_ids[j])] = 1
     return Instance(keywords, tuple((v, 1) for v in bidder_ids), bids)
