@@ -37,7 +37,7 @@ def top_c(instance: Instance, c: int) -> AuctionTrace:
     for t in sorted(range(instance.m), key=seconds.__getitem__, reverse=True)[:c]:
         u = instance.keywords[t]
         if row := instance.positive_bids(u):
-            lead = max(row, key=row.__getitem__)  # rows are in bidder-index order
+            lead = max(row, key=row.__getitem__)  # the first of equal bids, in index order
             with suppress(UnresolvableSecondBidder):  # no other bidder: u is skipped
                 chosen[u] = (lead, resolve_second_bidder(instance, u, lead))
 

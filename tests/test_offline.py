@@ -123,7 +123,8 @@ def test_top_c_traces_match_their_digest():
 
 
 def test_top_c_traces_with_one_bidder_match_their_digest():
-    # no lead has a possible second: one bidder, or one id listed twice
+    # one bidder, so no lead has a second; then one id listed twice, alone and
+    # beside a second bidder
     instances = [random_2paa(6, 1, 2, 1, seed=s) for s in range(16)]
     instances.append(Instance(("u", "w"), (("a", 5), ("a", 5)), {("u", "a"): 3, ("w", "a"): 2}))
     instances.append(
