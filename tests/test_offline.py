@@ -169,6 +169,20 @@ def test_reverse_match_drops_degree_one_keywords_with_warning():
     assert trace.prices() == (0, 1, 1)
 
 
+@pytest.mark.parametrize(
+    ("seed", "value", "digest"),
+    [
+        (1, 1578, "ff9fd0360a119107254c1ae39a52abcaf36f67cf93f36390072f9537d7fbe9b4"),
+        (2, 1596, "480bb44bf38a3ac5b53cab2ae99c74c3bd55174b009d2ed8c67d49f4bd1ab206"),
+    ],
+)
+def test_reverse_match_on_a_2000_square_matches_its_digest(seed, value, digest):
+    # the matching kernel's long late searches feed the reverse walk
+    trace = reverse_match(random_2pm(2000, 2000, 4 / 2000, seed=seed))
+    assert trace.value == value
+    assert hashlib.sha256(json.dumps(trace_to_doc(trace)).encode()).hexdigest() == digest
+
+
 def test_reverse_match_rejects_weighted_instances():
     inst = Instance(("u",), (("A", 2), ("B", 1)), {("u", "A"): 2, ("u", "B"): 1})
     message = r"reverse_match needs an all-ones instance \(budgets 1, bids 0/1\)"

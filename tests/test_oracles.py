@@ -192,6 +192,21 @@ def test_max_matching_follows_a_5000_long_augmenting_path():
     assert all(pairs[f"u{i}"] == f"v{i}" for i in range(1, n + 1))
 
 
+@pytest.mark.parametrize(
+    ("seed", "size", "digest"),
+    [
+        (1, 1956, "497011afec56a6c5e26579d068eb731b44c0cac29de05937fefb3c849fe530c7"),
+        (2, 1961, "13cfb4be7184bbb15a8fb3b14bde232a031b1fba24dc7d8f78529a77b19b8495"),
+    ],
+)
+def test_max_matching_on_a_2000_square_matches_its_digest(seed, size, digest):
+    # at 4/n the late keywords run long searches over a mostly matched
+    # graph, which the small reference shapes never reach; pairs in order
+    pairs = max_matching(random_2pm(2000, 2000, 4 / 2000, seed=seed)).pairs
+    assert len(pairs) == size
+    assert hashlib.sha256(json.dumps(list(pairs.items())).encode()).hexdigest() == digest
+
+
 # ----------------------------------------------------------------------
 # opt_2pm
 
