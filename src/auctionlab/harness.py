@@ -259,9 +259,9 @@ def _run_trial(suite: str, params: dict, base_seed: int, index: int) -> TrialRec
 
 
 def _run_trials(args: tuple) -> list[TrialRecord | None]:
-    """Trials start..stop-1 of one run, in order: a pool job."""
-    suite, params, base_seed, start, stop = args
-    return [_run_trial(suite, params, base_seed, index) for index in range(start, stop)]
+    """The trials of one run whose indices are in `indices`, in order: a pool job."""
+    suite, params, base_seed, indices = args
+    return [_run_trial(suite, params, base_seed, index) for index in indices]
 
 
 def violates(record: TrialRecord) -> bool:
@@ -341,7 +341,9 @@ def run_experiment(
     time of the trials so far, the first excluded (it pays one-time set-up),
     times their number.  A pool of cap = `worker_cap()` processes saves at most
     (cap - 1) / cap of that; once this exceeds `_POOL_COST_S`, the remaining
-    trials go to the pool in cap * 4 chunks.  With a cap of 1 no pool is made.
+    trials are dealt round-robin to min(cap * 4, trials left) pool jobs, so
+    trials whose cost rises with the index spread evenly over the workers.
+    With a cap of 1 no pool is made.
     The report's `workers` and `pooled_from` say which happened.
     """
     spec = _SUITES.get(suite)
@@ -360,15 +362,14 @@ def run_experiment(
     for index in range(trials):
         left = trials - index
         if cap > 1 and index > 1 and timed / (index - 1) * left * (cap - 1) / cap > _POOL_COST_S:
-            chunk = -(-left // (cap * 4))
-            jobs = [
-                (suite, merged, seed, start, min(start + chunk, trials))
-                for start in range(index, trials, chunk)
-            ]
-            workers, pooled_from = min(cap, len(jobs)), index
+            step = min(cap * 4, left)
+            starts = range(index, index + step)
+            jobs = [(suite, merged, seed, range(start, trials, step)) for start in starts]
+            workers, pooled_from = min(cap, step), index
+            records += [None] * left
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_run_trials, jobs):
-                    records += part
+                for start, part in zip(starts, pool.map(_run_trials, jobs)):
+                    records[start::step] = part
             break
         before = time.perf_counter()
         records.append(_run_trial(suite, merged, seed, index))

@@ -114,51 +114,45 @@ def max_matching(instance: Instance) -> Matching:
 def _matching_owners(rows: Sequence[tuple[int, ...]], n: int) -> dict[int, int]:
     """Kuhn's matching over index rows: bidder index -> keyword position.
 
+    Each keyword in turn searches for an augmenting path depth first,
+    probing bidders in index order, and flips it.  Iterative, so path length
+    is not bounded by the recursion limit; the probe order is that of the
+    recursive search.  `path` holds the keywords on the current path and
+    `stack` their unprobed neighbors; `owner[i]` is bidder i's keyword (-1
+    when free) and `mate[t]` keyword t's bidder, so a flip walks `path`
+    backwards, each keyword taking the bidder the next one gives up.
+
     A bidder visited in a search stays marked until the next augmentation
     (the visit stamp advances only then), so a failed search is never
     repeated.  This is exact: a failed search changes no owner and leaves
     behind a marked set that is closed under alternating paths and holds no
-    free bidder, so skipping it changes neither probe order nor path.
+    free bidder, so skipping it changes neither probe order nor path.  The
+    dict lists bidders in the order they were first matched.
     """
-    owner: dict[int, int] = {}
-    seen = [0] * n
+    owner, seen, mate = [-1] * n, [0] * n, [-1] * len(rows)
+    order: list[int] = []
     stamp = 1
-    for t in range(len(rows)):
-        if _augment(rows, owner, seen, stamp, t):
-            stamp += 1
-    return owner
-
-
-def _augment(
-    rows: Sequence[tuple[int, ...]], owner: dict[int, int], seen: list[int], stamp: int, root: int
-) -> bool:
-    """Find an augmenting path from keyword `root` by depth-first search and flip it.
-
-    Bidders with `seen[i] == stamp` are skipped; the others get marked.
-    Iterative, so path length is not bounded by the recursion limit; the
-    probe order is that of the recursive search.  `stack[k]` holds a keyword
-    on the path with its unprobed neighbors; that keyword tries to take
-    bidder `taken[k]`, whose current owner is the keyword of `stack[k + 1]`.
-    """
-    stack = [(root, iter(rows[root]))]
-    taken: list[int] = []
-    while stack:
-        for i in stack[-1][1]:
-            if seen[i] == stamp:
-                continue
-            seen[i] = stamp
-            taken.append(i)
-            if i not in owner:
-                for (t, _), j in zip(stack, taken):
-                    owner[j] = t
-                return True
-            stack.append((owner[i], iter(rows[owner[i]])))
-            break
-        else:
-            stack.pop()
-            if taken:
-                taken.pop()
-    return False
+    for root in range(len(rows)):
+        path, stack = [root], [iter(rows[root])]
+        while stack:
+            for i in stack[-1]:
+                if seen[i] != stamp:
+                    seen[i] = stamp
+                    t = owner[i]
+                    if t < 0:
+                        order.append(i)
+                        for t in reversed(path):
+                            owner[i], mate[t], i = t, i, mate[t]
+                        stamp += 1
+                        stack.clear()
+                    else:
+                        path.append(t)
+                        stack.append(iter(rows[t]))
+                    break
+            else:
+                stack.pop()
+                path.pop()
+    return {i: owner[i] for i in order}
 
 
 def _require_unit(instance: Instance, who: str) -> None:

@@ -351,9 +351,12 @@ def resolve_second_bidder(instance: Instance, keyword: str, bidder: str) -> str:
     """Lowest-index other bidder whose original bid equals b'(keyword, bidder)."""
     row = instance.positive_bids(keyword)
     own = row.get(bidder, 0)
-    target = max((a for v, a in row.items() if v != bidder and a <= own), default=0)
-    if target > 0:
-        return next(v for v, a in row.items() if v != bidder and a == target)
+    second, target = None, 0
+    for v, a in row.items():
+        if target < a <= own and v != bidder:  # strict: the first of equal bids stays
+            second, target = v, a
+    if second is not None:
+        return second
     for v, _ in instance.bidders:
         if v != bidder and v not in row:
             return v

@@ -245,6 +245,57 @@ def test_parallel_and_serial_runs_write_identical_csv(monkeypatch):
     assert run_with("1") == run_with("2")
 
 
+def _too_large_on_odd_seeds(monkeypatch):
+    # the patches are inherited by forked pool workers; each trial draws its
+    # instance right before its reference, so the last seed drawn is its own
+    import auctionlab.harness as harness
+
+    drawn, real_draw, real_opt = [0], harness.random_2pm, harness.opt_2pm
+
+    def draw(*args, seed):
+        drawn[0] = seed
+        return real_draw(*args, seed=seed)
+
+    def opt(inst, node_limit=None):
+        if drawn[0] % 2:
+            raise TooLarge("forced")
+        return real_opt(inst)
+
+    monkeypatch.setattr(harness, "random_2pm", draw)
+    monkeypatch.setattr(harness, "opt_2pm", opt)
+
+
+@pytest.mark.parametrize(
+    ("suite", "params", "trials", "patch"),
+    [
+        ("adversary", {"m_max": 40}, 0, None),  # trial cost rises with m
+        ("reverse-match", None, 30, _too_large_on_odd_seeds),  # None records inside strides
+        ("greedy-chain", None, 7, None),  # 5 trials left, fewer than cap * 4 jobs
+    ],
+    ids=["adversary", "reverse-match-skips", "few-trials-left"],
+)
+def test_round_robin_pooling_writes_identical_csv_for_any_worker_count(
+    monkeypatch, suite, params, trials, patch
+):
+    import auctionlab.harness as harness
+
+    monkeypatch.setattr(harness, "_POOL_COST_S", 0.0)
+    if patch is not None:
+        patch(monkeypatch)
+
+    def run_with(cap):
+        monkeypatch.setenv("AUCTIONLAB_WORKERS", str(cap))
+        report, records = run_experiment(suite, params, trials=trials, seed=5)
+        assert report.pooled_from == (None if cap == 1 else 2)
+        assert multiprocessing.active_children() == []
+        return report.skipped, _csv_text(records)
+
+    serial = run_with(1)
+    assert serial == run_with(2) == run_with(3)
+    if patch is not None:
+        assert serial[0] == 15
+
+
 def test_worker_cap_environment_handling(monkeypatch):
     monkeypatch.setenv("AUCTIONLAB_WORKERS", "3")
     assert worker_cap() == 3
