@@ -259,7 +259,7 @@ def _run_trial(suite: str, params: dict, base_seed: int, index: int) -> TrialRec
 
 
 def _run_trials(args: tuple) -> list[TrialRecord | None]:
-    """The trials of one run whose indices are in `indices`, in order: a pool job."""
+    """The trials of one run at `indices`, in order: a pool job."""
     suite, params, base_seed, indices = args
     return [_run_trial(suite, params, base_seed, index) for index in indices]
 
