@@ -457,6 +457,33 @@ def test_report_doc_is_json_clean():
     assert (parsed["workers"], parsed["pooled_from"]) == (report.workers, report.pooled_from)
 
 
+# every key of the structured report, in order, and every value but the clock
+def test_report_doc_pins_every_field_of_a_serial_report(monkeypatch):
+    monkeypatch.setenv("AUCTIONLAB_WORKERS", "1")
+    report, _ = run_experiment("adversary", {"m_max": 6}, seed=1)
+    doc = report_to_doc(report)
+    assert list(doc) == [
+        "suite", "trials", "skipped", "mean", "stdev", "se", "bound", "kind",
+        "violations", "passed", "elapsed", "workers", "pooled_from",
+    ]
+    elapsed = doc.pop("elapsed")
+    assert type(elapsed) is float and elapsed >= 0
+    assert doc == {
+        "suite": "adversary",
+        "trials": 18,
+        "skipped": 0,
+        "mean": "2/3",
+        "stdev": 0.48507125007266594,
+        "se": 0.1143323900950059,
+        "bound": None,
+        "kind": "exact",
+        "violations": 0,
+        "passed": True,
+        "workers": 1,
+        "pooled_from": None,
+    }
+
+
 def test_report_doc_names_the_pool_and_summarize_defaults_to_serial(monkeypatch):
     import auctionlab.harness as harness
 

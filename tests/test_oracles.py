@@ -40,6 +40,7 @@ from auctionlab import (
     second_bid_upper_bound,
     to_first_price_bids,
     unit_instance,
+    validate,
 )
 from auctionlab.errors import UnknownId
 from auctionlab.formats import trace_to_doc
@@ -400,6 +401,21 @@ def _shapes(max_m, max_n, min_n=1):
 def test_opt_2paa_matches_naive_search(shape, max_bid, seed):
     inst = _independent(random.Random(seed), *shape, max_bid)
     assert opt_2paa(inst).value == _every_2paa_value(inst)
+
+
+# 2PAA's optimum is not monotone in the budgets, so opt_2paa can prune with no
+# Skip-value bound: raising b1's budget 6 -> 8 gives b1 an effective bid of 6
+# on u1, where b0 could win at 4 before, and the optimum falls 9 -> 8
+@pytest.mark.parametrize("budget, value", [(6, 9), (8, 8)])
+def test_opt_2paa_can_fall_when_a_budget_rises(budget, value):
+    bids = {
+        ("u0", "b0"): 2, ("u0", "b1"): 3,
+        ("u1", "b0"): 4, ("u1", "b1"): 6,
+        ("u2", "b0"): 5, ("u2", "b1"): 3,
+    }
+    inst = Instance(("u0", "u1", "u2"), (("b0", 9), ("b1", budget)), bids)
+    assert validate(inst).ok
+    assert opt_2paa(inst).value == _every_2paa_value(inst) == value
 
 
 def test_opt_2paa_respects_second_bid_upper_bound():
