@@ -9,6 +9,8 @@ brute-force optimal oracles with replayable witnesses, hardness
 gadgets, instance generators, and a seeded experiment harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AuctionError,
     EmptyStream,
@@ -103,81 +105,8 @@ from .harness import (
 
 __version__ = "0.1.0"
 
+# every public name bound above, in binding order; submodules are not exported
 __all__ = [
-    "AuctionError",
-    "EmptyStream",
-    "InfeasibleTrace",
-    "InvalidParams",
-    "NoPositiveBids",
-    "NonDeterministicPolicy",
-    "NotAPartition",
-    "OrderingViolation",
-    "PolicyViolation",
-    "SameBidder",
-    "TooLarge",
-    "UnknownId",
-    "UnknownSuite",
-    "UnresolvableSecondBidder",
-    "SKIP",
-    "Action",
-    "Assign",
-    "AuctionTrace",
-    "BudgetState",
-    "Instance",
-    "Skip",
-    "TraceStep",
-    "ValidationReport",
-    "effective_bid",
-    "execute",
-    "r_min",
-    "unit_instance",
-    "validate",
-    "DEFAULT_NODE_LIMIT",
-    "Matching",
-    "OptResult",
-    "SearchStats",
-    "first_price_value",
-    "max_matching",
-    "opt_1paa",
-    "opt_2paa",
-    "opt_2pm",
-    "second_bid_upper_bound",
-    "reverse_match",
-    "top_c",
-    "top_c_bound",
-    "LeftKCopy",
-    "OnlinePolicy",
-    "first_available",
-    "greedy_2pm",
-    "left_k_copy",
-    "ranking_1p",
-    "ranking_simulate",
-    "run_online",
-    "skip_all",
-    "PartitionGadget",
-    "VcGadget",
-    "extract_vertex_cover",
-    "normalize_first_price",
-    "partition_to_2paa",
-    "random_construction",
-    "resolve_second_bidder",
-    "to_first_price_bids",
-    "vc_to_2pm",
-    "yes_strategy",
-    "AdversaryTranscript",
-    "ChainSample",
-    "adversary_vs_policy",
-    "gap_instance",
-    "gap_witness_actions",
-    "perfect_matchable_2pm",
-    "random_2pm",
-    "random_2paa",
-    "sample_chain",
-    "SUITES",
-    "ExperimentReport",
-    "TrialRecord",
-    "ranking_sum_bound",
-    "run_experiment",
-    "summarize",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

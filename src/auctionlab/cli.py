@@ -133,6 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run an algorithm on an instance file")
+    solve.set_defaults(run=_cmd_solve)
     solve.add_argument("--algorithm", required=True, choices=(*_POLICIES, *_OFFLINE))
     solve.add_argument("--input", required=True)
     solve.add_argument("--out")
@@ -141,6 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, help="left k-copy preprocessing")
 
     oracle = sub.add_parser("oracle", help="brute-force optimum with witness")
+    oracle.set_defaults(run=_cmd_oracle)
     oracle.add_argument("--problem", required=True, choices=tuple(_ORACLES))
     oracle.add_argument("--input", required=True)
     oracle.add_argument("--out")
@@ -148,12 +150,14 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--stats", action="store_true", help="print search statistics to stderr")
 
     gen = sub.add_parser("generate", help="emit an instance from a named family")
+    gen.set_defaults(run=_cmd_generate)
     gen.add_argument("--family", required=True, choices=sorted(_FAMILIES))
     gen.add_argument("--params", help="comma-separated key=value overrides")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out")
 
     red = sub.add_parser("reduce", help="emit a hardness gadget plus a roles sidecar")
+    red.set_defaults(run=_cmd_reduce)
     red.add_argument("--from", dest="source", required=True, choices=("partition", "vertex-cover"))
     red.add_argument("--weights", help="comma-separated positive integers")
     red.add_argument("--c", type=int, default=1)
@@ -161,6 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--out", required=True)
 
     exp = sub.add_parser("experiment", help="run a Monte-Carlo suite")
+    exp.set_defaults(run=_cmd_experiment)
     exp.add_argument("--suite", required=True, choices=SUITES)
     exp.add_argument("--trials", type=int, default=1000)
     exp.add_argument("--seed", type=int, required=True)
@@ -169,6 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--format", choices=("csv", "structured"), default="csv")
 
     val = sub.add_parser("validate", help="check an instance file")
+    val.set_defaults(run=_cmd_validate)
     val.add_argument("--input", required=True)
     return parser
 
@@ -336,21 +342,13 @@ def _cmd_validate(args, parser) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "oracle": _cmd_oracle,
-        "generate": _cmd_generate,
-        "reduce": _cmd_reduce,
-        "experiment": _cmd_experiment,
-        "validate": _cmd_validate,
-    }
     # library warnings (reverse_match and top_c emit UserWarnings) become one
     # `warning:` line each on stderr instead of Python's source-line format;
     # "default" shows a repeated message once, as Python itself would
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default", UserWarning)
         try:
-            return handlers[args.command](args, parser)
+            return args.run(args, parser)
         except (AuctionError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

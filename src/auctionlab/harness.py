@@ -383,23 +383,10 @@ def run_experiment(
 
 
 def report_to_doc(report: ExperimentReport) -> dict:
+    """Every report field in order, each Fraction written as "p/q"."""
     from .formats import frac_str
 
-    return {
-        "suite": report.suite,
-        "trials": report.trials,
-        "skipped": report.skipped,
-        "mean": frac_str(report.mean),
-        "stdev": report.stdev,
-        "se": report.se,
-        "bound": None if report.bound is None else frac_str(report.bound),
-        "kind": report.kind,
-        "violations": report.violations,
-        "passed": report.passed,
-        "elapsed": report.elapsed,
-        "workers": report.workers,
-        "pooled_from": report.pooled_from,
-    }
+    return {k: frac_str(v) if isinstance(v, Fraction) else v for k, v in vars(report).items()}
 
 
 def format_report(report: ExperimentReport) -> str:

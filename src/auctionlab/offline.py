@@ -73,6 +73,7 @@ def reverse_match(instance: Instance) -> AuctionTrace:
     # bidder index -> keyword position, and its inverse
     owner = _matching_owners([row if len(row) >= 2 else () for row in rows], len(instance.bidders))
     mate = {t: i for i, t in owner.items()}
+    size = len(mate)  # the loop below removes sacrificed keywords from both maps
 
     ids = instance.bidder_ids
     actions: list[Action] = [SKIP] * len(rows)
@@ -95,6 +96,9 @@ def reverse_match(instance: Instance) -> AuctionTrace:
             raise InfeasibleTrace(
                 f"assignment of {step.keyword!r} charged {step.price}, expected 1"
             )
+    # each assignment sacrificed at most one other matched keyword
+    if 2 * trace.value < size:
+        raise InfeasibleTrace(f"value {trace.value} is below half the matching size {size}")
     return trace
 
 

@@ -405,7 +405,10 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
     Bound: a pair charging eff2 is skipped when eff2 plus the later keywords'
     second-highest original bids cannot beat the best value so far.  Exact
     because a price never exceeds its keyword's second-highest original bid,
-    whatever the budgets.
+    whatever the budgets.  There is no Skip-value bound, as `opt_2pm` and
+    `opt_1paa` have: a larger budget can lower the optimum, because the
+    bidder then sets a higher price for the others to beat (pinned by
+    test_opt_2paa_can_fall_when_a_budget_rises in tests/test_oracles.py).
 
     Clamp: past keyword t, each bidder of that keyword keeps at most its
     bids on the later keywords.  Exact because a first bidder is charged at

@@ -10,6 +10,7 @@ import pytest
 from auctionlab import (
     SKIP,
     Assign,
+    InfeasibleTrace,
     Instance,
     InvalidParams,
     execute,
@@ -221,3 +222,14 @@ def test_reverse_match_trace_replays_identically():
     trace = reverse_match(inst)
     assert execute(inst, trace.actions()) == trace
     assert reverse_match(inst) == trace
+
+
+def test_reverse_match_refuses_a_trace_below_half_its_matching(monkeypatch):
+    import auctionlab.offline as offline
+
+    # every keyword settled as Skip charges no price, so only the factor
+    # check can see that the matching of size 2 earned nothing
+    monkeypatch.setattr(offline, "execute", lambda inst, actions: execute(inst, [SKIP] * inst.m))
+    inst = unit_instance({"u1": ["v1", "v2"], "u2": ["v1", "v2"]})
+    with pytest.raises(InfeasibleTrace, match="value 0 is below half the matching size 2"):
+        reverse_match(inst)
