@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -59,6 +60,40 @@ def test_ranking_sum_bound_small_values():
 
 def chain_record(trial, value, m=9):
     return make_record("greedy-chain", trial, trial ^ 3, f"chain m={m}", value, Fraction(m + 1, 2))
+
+
+def test_record_repr_names_every_field():
+    record = make_record("top-c", 3, 9, "2paa 8x5 c=2", 7, Fraction(14, 3))
+    assert repr(record) == (
+        "TrialRecord(suite='top-c', trial=3, seed=9, instance='2paa 8x5 c=2', value=7, "
+        "reference=Fraction(14, 3), ratio=Fraction(2, 3))"
+    )
+    assert repr(chain_record(0, 0)).endswith("reference=Fraction(5, 1), ratio=Fraction(5, 1))")
+    assert repr(make_record("adversary", 1, 1, "x", 2, 4)).endswith("reference=4, ratio=Fraction(2, 1))")
+
+
+def test_equal_records_are_equal_and_hash_alike():
+    assert chain_record(1, 4) == chain_record(1, 4)
+    assert hash(chain_record(1, 4)) == hash(chain_record(1, 4))
+    assert chain_record(1, 4) != chain_record(1, 5)
+    assert chain_record(1, 4) != chain_record(2, 4)
+
+
+@pytest.mark.parametrize(
+    "field", ["suite", "trial", "seed", "instance", "value", "reference", "ratio"]
+)
+def test_records_refuse_assignment(field):
+    record = chain_record(1, 4)
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    assert record == chain_record(1, 4)
+
+
+def test_records_survive_a_pickle_round_trip():
+    _, records = run_experiment("greedy-chain", trials=20, seed=5)
+    again = pickle.loads(pickle.dumps(records))
+    assert again == records and [*map(repr, again)] == [*map(repr, records)]
+    assert {type(r) for r in again} == {TrialRecord}
 
 
 def test_summarize_constant_stream_has_zero_se():

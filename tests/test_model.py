@@ -1,16 +1,19 @@
 """Exact auction semantics: effective bids, settlement, validation, r_min."""
 
+import pickle
 import random
+import re
 from collections import namedtuple
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auctionlab import (
     SKIP,
     Assign,
+    AuctionTrace,
     BudgetState,
     Instance,
     NoPositiveBids,
@@ -18,6 +21,7 @@ from auctionlab import (
     PolicyViolation,
     SameBidder,
     Skip,
+    TraceStep,
     UnknownId,
     effective_bid,
     execute,
@@ -48,6 +52,11 @@ def test_effective_bid_rejects_negatives_and_floats():
 def test_assign_rejects_same_bidder():
     with pytest.raises(SameBidder):
         Assign("A", "A")
+
+
+def test_same_bidder_message_names_the_bidder():
+    with pytest.raises(SameBidder, match="^" + re.escape("first and second bidder are both 'a'") + "$"):
+        Assign("a", "a")
 
 
 def test_skip_is_a_singleton_value():
@@ -138,6 +147,65 @@ def test_settle_refuses_a_non_action_and_keeps_its_state():
         state.settle(inst.positive_bids("u"), None)
     assert state.remaining == {"A": 8, "B": 8}
     assert state.step == 0
+
+
+@pytest.mark.parametrize(
+    "first, second, unknown", [("X", "B", "X"), ("A", "Y", "Y"), ("X", "Y", "X")]
+)
+def test_settle_names_the_first_unknown_bidder_and_keeps_its_state(first, second, unknown):
+    inst = one_keyword_instance()
+    state = BudgetState.start(inst)
+    with pytest.raises(UnknownId, match=f"^unknown bidder '{unknown}'$"):
+        state.settle(inst.positive_bids("u"), Assign(first, second))
+    assert state.remaining == {"A": 8, "B": 8}
+    assert state.step == 0
+
+
+def two_step_trace():
+    inst = Instance(
+        ("u1", "u2"),
+        (("A", 8), ("B", 8)),
+        {("u1", "A"): 4, ("u1", "B"): 3, ("u2", "B"): 2},
+    )
+    return execute(inst, [Assign("A", "B"), SKIP])
+
+
+def test_trace_repr_names_every_step_field():
+    assert repr(two_step_trace()) == (
+        "AuctionTrace(steps=(TraceStep(keyword='u1', action=Assign(first='A', second='B'), "
+        "price=3), TraceStep(keyword='u2', action=Skip(), price=0)), value=3, "
+        "final_budgets={'A': 5, 'B': 8})"
+    )
+
+
+def test_equal_steps_and_actions_are_equal_and_hash_alike():
+    assert Assign("A", "B") == Assign("A", "B") and Assign("A", "B") != Assign("B", "A")
+    assert hash(Assign("A", "B")) == hash(Assign("A", "B"))
+    step = TraceStep("u1", Assign("A", "B"), 3)
+    assert step == TraceStep("u1", Assign("A", "B"), 3)
+    assert hash(step) == hash(TraceStep("u1", Assign("A", "B"), 3))
+    assert step != TraceStep("u1", Assign("A", "B"), 2)
+    assert step != TraceStep("u1", SKIP, 3)
+    assert two_step_trace() == two_step_trace()
+    assert two_step_trace().steps[0] == step
+
+
+@pytest.mark.parametrize(
+    "item, field",
+    [(Assign("A", "B"), "first"), (Assign("A", "B"), "second"), (SKIP, "first")]
+    + [(TraceStep("u1", SKIP, 0), name) for name in ("keyword", "action", "price")],
+)
+def test_steps_and_actions_refuse_assignment(item, field):
+    with pytest.raises(AttributeError):
+        setattr(item, field, "C")
+
+
+def test_trace_survives_a_pickle_round_trip():
+    trace = two_step_trace()
+    again = pickle.loads(pickle.dumps(trace))
+    assert again == trace and repr(again) == repr(trace)
+    assert type(again.steps[0]) is TraceStep and type(again.steps[0].action) is Assign
+    assert pickle.loads(pickle.dumps(Assign("A", "B"))) == Assign("A", "B")
 
 
 def test_settle_steps_advance_and_charge():
@@ -455,8 +523,15 @@ def shuffled_parts(draw):
     return keywords, bidders, dict(draw(st.permutations(list(zip(pairs, amounts)))))
 
 
+_ROW_BIDDERS = (("v0", 1), ("v1", 1), ("v2", 1))
+
+
 @settings(max_examples=400, deadline=None)
 @given(shuffled_parts())
+# a row interrupted by another keyword's bids, then out of index order
+@example((["u1", "u2"], _ROW_BIDDERS, {("u1", "v2"): 1, ("u2", "v1"): 1, ("u1", "v1"): 1}))
+# a row revisited after another keyword's bids, still in index order
+@example((["u1", "u2"], _ROW_BIDDERS, {("u1", "v1"): 1, ("u2", "v0"): 1, ("u1", "v2"): 1}))
 def test_instance_rows_follow_the_sort_per_row_rule(parts):
     inst = Instance(*parts)
     expected = regrouped_rows(inst)
