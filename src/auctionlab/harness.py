@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyStream, InvalidParams, TooLarge, UnknownSuite, _quoted
 from .generators import (
@@ -39,8 +39,7 @@ from .reductions import normalize_first_price, random_construction, to_first_pri
 _POOL_COST_S = 0.01
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One trial: the algorithm's value against its per-trial reference."""
 
     suite: str
@@ -86,7 +85,7 @@ def ranking_sum_bound(n: int, k: int) -> Fraction:
 def make_record(
     suite: str, trial: int, seed: int, instance: str, value: int, reference
 ) -> TrialRecord:
-    ratio = Fraction(reference) / max(value, 1)
+    ratio = Fraction(reference.numerator, reference.denominator * max(value, 1))
     return TrialRecord(suite, trial, seed, instance, value, reference, ratio)
 
 

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import NoPositiveBids, OrderingViolation, PolicyViolation, SameBidder, UnknownId
 
@@ -40,7 +40,7 @@ class Skip:
     """Leave the arriving keyword unallocated (always legal, price 0)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     """Allocate the keyword to `first`, charging it `second`'s effective bid.
 
@@ -51,9 +51,12 @@ class Assign:
     first: str
     second: str
 
-    def __post_init__(self) -> None:
-        if self.first == self.second:
-            raise SameBidder(f"first and second bidder are both {self.first!r}")
+    # written out, so the check and the two stores need no __post_init__ call
+    def __init__(self, first: str, second: str) -> None:
+        if first == second:
+            raise SameBidder(f"first and second bidder are both {first!r}")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
 
 Action = Union[Skip, Assign]
@@ -107,15 +110,23 @@ class Instance:
         index = {v: i for i, (v, _) in enumerate(self.bidders)}
         object.__setattr__(self, "_index", index)
         # per-keyword positive bids, in bidder-index order: filled in bid
-        # order, and only a row whose indices arrived out of order is sorted
+        # order, and only a row whose indices arrived out of order is sorted.
+        # `tail` is the index of the last bid put in `row`, the row of `at`.
         rows: dict[str, dict[str, int]] = {u: {} for u in self.keywords}
+        unsorted = set()
+        at, row, tail = object(), {}, -1  # object(): no keyword yet
         for (u, v), a in bids.items():
             if a > 0 and u in rows and v in index:
-                rows[u][v] = a
-        for u, row in rows.items():
-            order = [*map(index.__getitem__, row)]
-            if order != sorted(order):
-                rows[u] = dict(sorted(row.items(), key=lambda item: index[item[0]]))
+                i = index[v]
+                if u != at:
+                    at, row = u, rows[u]
+                    tail = index[next(reversed(row))] if row else -1
+                if i < tail:
+                    unsorted.add(u)
+                tail = i
+                row[v] = a
+        for u in unsorted:
+            rows[u] = dict(sorted(rows[u].items(), key=lambda item: index[item[0]]))
         object.__setattr__(self, "_rows", rows)
 
     # ------------------------------------------------------------------
@@ -219,23 +230,31 @@ class BudgetState:
         """
         price = 0
         if isinstance(action, Assign):
-            eff_first = self.effective(action.first, bids.get(action.first, 0))
-            eff_second = self.effective(action.second, bids.get(action.second, 0))
+            first, second = action.first, action.second
+            remaining = self.remaining
+            try:
+                left_first, left_second = remaining[first], remaining[second]
+            except KeyError:
+                unknown = second if first in remaining else first
+                raise UnknownId(f"unknown bidder {unknown!r}") from None
+            eff_first = min(bids.get(first, 0), left_first)
+            eff_second = min(bids.get(second, 0), left_second)
             if eff_first < eff_second:
                 raise OrderingViolation(
-                    f"effective bid of {action.first!r} ({eff_first}) is below "
-                    f"{action.second!r} ({eff_second}) at step {self.step}"
+                    f"effective bid of {first!r} ({eff_first}) is below "
+                    f"{second!r} ({eff_second}) at step {self.step}"
                 )
             price = eff_second
-            self.remaining[action.first] -= price
+            remaining[first] -= price
         elif not isinstance(action, Skip):
             raise PolicyViolation(f"policy returned {action!r}, not an action")
         self.step += 1
         return price
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
+    """One settled keyword: the action taken on it and the price charged."""
+
     keyword: str
     action: Action
     price: int
@@ -266,10 +285,13 @@ def _settle(
     """
     budgets = MappingProxyType(state.remaining)
     steps = []
+    value = 0
     for step, (keyword, bids) in enumerate(arrivals):
         action = decide(step, keyword, bids, budgets)
-        steps.append(TraceStep(keyword, action, state.settle(bids, action)))
-    return AuctionTrace(tuple(steps), sum(s.price for s in steps), dict(state.remaining))
+        price = state.settle(bids, action)
+        value += price
+        steps.append(TraceStep(keyword, action, price))
+    return AuctionTrace(tuple(steps), value, dict(state.remaining))
 
 
 def settle_all(instance: Instance, decide: _Decide) -> AuctionTrace:
