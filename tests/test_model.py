@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from auctionlab import (
     SKIP,
     Assign,
-    AuctionTrace,
     BudgetState,
     Instance,
     NoPositiveBids,
