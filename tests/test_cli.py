@@ -427,6 +427,50 @@ def test_reduce_vertex_cover_from_edge_list(tmp_path):
     assert inst.m == 9
 
 
+# SHA-256 of the gadget file and of its roles sidecar, pinned byte for byte;
+# the third partition has an odd weight sum, so its gadget doubles (scale 2)
+_REDUCE_PINS = {
+    "partition-3122-c1": (
+        ["--from", "partition", "--weights", "3,1,2,2", "--c", "1"], None,
+        "18d9126fc3fcde435ee344526f49e2dd71252bdab29a851f0f1a466858c135c0",
+        "171f6292a706096d11f8df2d6ca298889c68078f5a76fbaea51599f7ae3dc1dd",
+    ),
+    "partition-11-c3": (
+        ["--from", "partition", "--weights", "1,1", "--c", "3"], None,
+        "40f1768a0168b76d297c5aa890798df0de19fb28c2e73fb75e2ec971b7dbc4c5",
+        "a021b2d6e28b34b000f5bf0dcdce42571b7c0ec6cb15fd412072a19ca489c2e7",
+    ),
+    "partition-odd-c2": (
+        ["--from", "partition", "--weights", "5,4,3,1,2,2", "--c", "2"], None,
+        "b3475cd984b07d85b33825c80f0f407eb1b0fb76ee980ef69f4c0f9f5169c4d1",
+        "264be495860f68881013f6fc5f50788778c22f96ddd21cd8a7ca3fd16fbced36",
+    ),
+    "vc-triangle": (
+        ["--from", "vertex-cover"], "a b\nb c\na c\n",
+        "8e319f7ff5cd87fc6f61599df0e61534de8f5bce4298a27efd6e0247bdc566f8",
+        "9b9d399187f2cb386acc34c7529a74505fa1dbe63aae3e704b455eff99170f71",
+    ),
+    "vc-path4": (
+        ["--from", "vertex-cover"], "a b\nb c\nc d\nd e\n",
+        "8ecc3bc5c771704498f69facfa6cf03a93ddd407cecb1db3329e098727045031",
+        "3297540f3612e5049961663be646c43bc6620588e46144db074f05da79795437",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCE_PINS))
+def test_reduce_files_match_their_pinned_digests(tmp_path, name):
+    args, graph, gadget_digest, roles_digest = _REDUCE_PINS[name]
+    if graph is not None:
+        (tmp_path / "graph.txt").write_text(graph)
+        args = [*args, "--graph", str(tmp_path / "graph.txt")]
+    out = tmp_path / "gadget.json"
+    assert main(["reduce", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == gadget_digest
+    roles = tmp_path / "gadget.json.roles.json"
+    assert hashlib.sha256(roles.read_bytes()).hexdigest() == roles_digest
+
+
 def test_reduce_vertex_cover_requires_graph():
     with pytest.raises(SystemExit) as err:
         main(["reduce", "--from", "vertex-cover", "--out", "x.json"])
