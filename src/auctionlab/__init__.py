@@ -53,7 +53,6 @@ from .oracles import (
     opt_1paa,
     opt_2paa,
     opt_2pm,
-    second_bid_upper_bound,
 )
 from .offline import (
     reverse_match,

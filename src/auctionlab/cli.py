@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 import warnings
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import formats
 from .errors import AuctionError, InvalidParams, _quoted
@@ -213,11 +214,8 @@ def _cmd_oracle(args, parser) -> int:
     res = _ORACLES[args.problem](instance, node_limit=args.node_limit)
     if args.stats:
         stats = res.stats
-        print(
-            f"stats: nodes={stats.nodes} memo_entries={stats.memo_entries}"
-            f" max_depth={stats.max_depth}",
-            file=sys.stderr,
-        )
+        pairs = (f"{f.name}={getattr(stats, f.name)}" for f in dataclasses.fields(stats))
+        print("stats:", *pairs, file=sys.stderr)
     key = "trace" if isinstance(res.witness, AuctionTrace) else "winners"
     _emit({"value": res.value, key: _result_doc(res.witness)}, args.out)
     return 0
@@ -237,40 +235,19 @@ def _cmd_generate(args, parser) -> int:
     return 0
 
 
-def _partition_roles(gadget) -> dict:
-    return {
-        "kind": "partition",
-        "n": gadget.n,
-        "c": gadget.c,
-        "scale": gadget.scale,
-        "weights": list(gadget.weights),
-        "c_keywords": list(gadget.c_keywords),
-        "e_keywords": list(gadget.e_keywords),
-        "g_keywords": [list(row) for row in gadget.g_keywords],
-        "bidder_a": gadget.bidder_a,
-        "bidder_d": list(gadget.bidder_d),
-        "bidder_f": gadget.bidder_f,
-        "bidders_h": list(gadget.bidders_h),
-        "yes_value": gadget.yes_value,
-        "no_threshold": gadget.no_threshold,
-    }
-
-
-def _vc_roles(gadget) -> dict:
-    def edge_map(mapping):
-        return {f"{s} {t}": name for (s, t), name in mapping.items()}
-
-    return {
-        "kind": "vertex-cover",
-        "vertices": list(gadget.vertices),
-        "edges": [list(e) for e in gadget.edges],
-        "h_keywords": dict(gadget.h_keywords),
-        "l_keywords": dict(gadget.l_keywords),
-        "edge_keywords": edge_map(gadget.edge_keywords),
-        "x_bidders": edge_map(gadget.x_bidders),
-        "y_bidders": dict(gadget.y_bidders),
-        "z_bidders": dict(gadget.z_bidders),
-    }
+def _roles(kind: str, gadget, *derived: str) -> dict:
+    """A gadget's roles sidecar: `kind`, every field but the instance in field
+    order, then the `derived` properties; a vertex-pair key is written "s t"."""
+    roles = {"kind": kind}
+    for field in dataclasses.fields(gadget):
+        if field.name == "instance":
+            continue
+        value = getattr(gadget, field.name)
+        if isinstance(value, Mapping):
+            value = {" ".join(k) if isinstance(k, tuple) else k: v for k, v in value.items()}
+        roles[field.name] = value
+    roles.update((name, getattr(gadget, name)) for name in derived)
+    return roles
 
 
 def _cmd_reduce(args, parser) -> int:
@@ -287,14 +264,14 @@ def _cmd_reduce(args, parser) -> int:
             gadget = partition_to_2paa(weights, args.c)
         except InvalidParams as exc:
             parser.error(str(exc))
-        roles = _partition_roles(gadget)
+        roles = _roles("partition", gadget, "yes_value", "no_threshold")
     else:
         if not args.graph:
             parser.error("--graph is required for --from vertex-cover")
         with open(args.graph, "r", encoding="utf-8") as fp:
             vertices, edges = formats.read_edge_list(fp)
         gadget = vc_to_2pm(vertices, edges)
-        roles = _vc_roles(gadget)
+        roles = _roles("vertex-cover", gadget)
     # encoded before either file is written: the roles can hold a number
     # past the digit limit when every instance amount is within it
     roles_text = json.dumps(roles, indent=2) + "\n"

@@ -216,11 +216,6 @@ class BudgetState:
     def start(cls, instance: Instance) -> "BudgetState":
         return cls(instance.initial_budgets())
 
-    def effective(self, bidder: str, original_bid: int) -> int:
-        if bidder not in self.remaining:
-            raise UnknownId(f"unknown bidder {bidder!r}")
-        return min(original_bid, self.remaining[bidder])
-
     def settle(self, bids: Mapping[str, int], action: Action) -> int:
         """Apply one keyword's action against `bids`; returns the price charged.
 

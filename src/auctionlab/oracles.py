@@ -377,15 +377,6 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
     return OptResult(total, trace, _search_stats(nodes, memos[:m]))
 
 
-def second_bid_upper_bound(instance: Instance) -> int:
-    """Sum over keywords of the second-highest original bid (0 if < 2 positive).
-
-    No solution can beat this: any charged price is the smaller of two
-    distinct bidders' bids, hence at most the keyword's second-highest.
-    """
-    return sum(_second_bids(instance))
-
-
 def _second_bids(instance: Instance) -> list[int]:
     """Per keyword, the second-highest positive bid (0 with fewer than two)."""
     seconds = []

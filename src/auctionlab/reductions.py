@@ -40,16 +40,15 @@ from .model import (
 class PartitionGadget:
     """Auction encoding of an equal-sum partition question.
 
-    `weights` and `total_weight` are post-scaling (everything is doubled
-    once when the raw weight sum is odd, recorded in `scale`).
+    `weights` and `total_weight`, their sum, are post-scaling (everything
+    is doubled once when the raw weight sum is odd, recorded in `scale`).
     """
 
     instance: Instance
     n: int
     c: int
-    weights: tuple[int, ...]
-    total_weight: int
     scale: int
+    weights: tuple[int, ...]
     c_keywords: tuple[str, ...]
     e_keywords: tuple[str, str]
     g_keywords: tuple[tuple[str, ...], ...]  # indexed [i][k], i in 1..n^2
@@ -57,6 +56,10 @@ class PartitionGadget:
     bidder_d: tuple[str, str]
     bidder_f: str
     bidders_h: tuple[str, ...]
+
+    @property
+    def total_weight(self) -> int:
+        return sum(self.weights)
 
     @property
     def yes_value(self) -> int:
@@ -129,9 +132,8 @@ def partition_to_2paa(weights: Sequence[int], c: int) -> PartitionGadget:
         instance,
         n,
         c,
-        tuple(ws),
-        W,
         scale,
+        tuple(ws),
         c_keywords,
         e_keywords,
         g_keywords,

@@ -27,7 +27,7 @@ from auctionlab.formats import (
     records_to_csv,
     trace_to_doc,
 )
-from auctionlab.harness import make_record
+from auctionlab.harness import TrialRecord, make_record
 from shared import reference_text
 
 
@@ -164,6 +164,13 @@ def test_record_doc_uses_frac_strings():
     assert doc["reference"] == "14/3"
     assert doc["value"] == 7
     assert doc["ratio"] == "2/3"
+
+
+def test_record_field_lists_name_the_same_fields_in_the_same_order():
+    # record_to_doc and the CSV header stay literals for speed; this keeps
+    # them equal to the record type's own field list
+    record = make_record("top-c", 3, 9, "2paa 8x5 c=2", 7, Fraction(14, 3))
+    assert RECORD_FIELDS == tuple(record_to_doc(record)) == TrialRecord._fields
 
 
 # ----------------------------------------------------------------------

@@ -460,7 +460,8 @@ def _legal_actions(inst, rng):
             for f in ids
             for s in ids
             if f != s
-            and state.effective(f, bids.get(f, 0)) >= state.effective(s, bids.get(s, 0))
+            and effective_bid(bids.get(f, 0), state.remaining[f])
+            >= effective_bid(bids.get(s, 0), state.remaining[s])
         ]
         action = rng.choice([SKIP] + pairs)
         state.settle(bids, action)
@@ -483,8 +484,8 @@ def test_execute_invariants_on_random_legal_traces(seed):
         bids = inst.positive_bids(step.keyword)
         if isinstance(step.action, Assign):
             f, s = step.action.first, step.action.second
-            assert step.price <= state.effective(f, bids.get(f, 0))
-            assert step.price == state.effective(s, bids.get(s, 0))
+            assert step.price <= effective_bid(bids.get(f, 0), state.remaining[f])
+            assert step.price == effective_bid(bids.get(s, 0), state.remaining[s])
             paid[f] += step.price
         else:
             assert step.price == 0

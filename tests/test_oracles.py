@@ -37,8 +37,8 @@ from auctionlab import (
     opt_2pm,
     random_2paa,
     random_2pm,
-    second_bid_upper_bound,
     to_first_price_bids,
+    top_c_bound,
     unit_instance,
     validate,
 )
@@ -421,7 +421,10 @@ def test_opt_2paa_can_fall_when_a_budget_rises(budget, value):
 def test_opt_2paa_respects_second_bid_upper_bound():
     for seed in range(20):
         inst = _random_weighted(random.Random(3000 + seed))
-        assert opt_2paa(inst).value <= second_bid_upper_bound(inst)
+        # no price beats its keyword's second-highest positive bid
+        rows = [sorted(inst.positive_bids(u).values()) for u in inst.keywords]
+        bound = sum(row[-2] for row in rows if len(row) >= 2)
+        assert opt_2paa(inst).value <= bound
 
 
 def test_second_bid_upper_bound_sums_runner_up_bids():
@@ -430,9 +433,9 @@ def test_second_bid_upper_bound_sums_runner_up_bids():
         (("A", 9), ("B", 9)),
         {("u1", "A"): 4, ("u1", "B"): 3, ("u2", "A"): 5, ("u2", "B"): 5},
     )
-    assert second_bid_upper_bound(inst) == 8
+    assert top_c_bound(inst, inst.m) == 8
     lonely = Instance(("u",), (("A", 9),), {("u", "A"): 4})
-    assert second_bid_upper_bound(lonely) == 0
+    assert top_c_bound(lonely, lonely.m) == 0
 
 
 # ----------------------------------------------------------------------
