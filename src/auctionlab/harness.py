@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -34,8 +33,10 @@ from .reductions import normalize_first_price, random_construction, to_first_pri
 
 # Seconds to start a process pool, map one small job list over it and shut it
 # down: about 10 ms for 2 workers on a 2-CPU Linux VM (Python 3.11.7, fork,
-# in a process that had imported auctionlab).  run_experiment hands the rest
-# of a run to a pool only when the pool would save more than this.
+# in a process that had already imported concurrent.futures.process).  The
+# first pooled run in a process also imports that module, about 20 ms more on
+# the same VM; the rule below does not count it.  run_experiment hands the
+# rest of a run to a pool only when the pool would save more than this.
 _POOL_COST_S = 0.01
 
 
@@ -366,6 +367,9 @@ def run_experiment(
             jobs = [(suite, merged, seed, range(start, trials, step)) for start in starts]
             workers, pooled_from = min(cap, step), index
             records += [None] * left
+            # imported here so that only a pooled run loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for start, part in zip(starts, pool.map(_run_trials, jobs)):
                     records[start::step] = part

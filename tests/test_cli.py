@@ -3,7 +3,10 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -709,6 +712,25 @@ def test_validate_warning_still_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "warning:" in out
     assert "ok:" in out
+
+
+def test_cold_start_never_loads_the_process_pool(instance_file):
+    # only a pooled run_experiment needs concurrent.futures.process, which
+    # pulls in multiprocessing, pickle, socket and subprocess at import
+    code = (
+        "import sys\n"
+        "import auctionlab, auctionlab.cli, auctionlab.formats\n"
+        f"assert auctionlab.cli.main(['validate', '--input', {str(instance_file)!r}]) == 0\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["ok: 2 keywords, 2 bidders", "[]"]
 
 
 DUPLICATE_BID = {

@@ -2,17 +2,17 @@
 
 The MILP models are solved by HiGHS through `scipy.optimize.milp`; they reach
 the reverse-match size (12 keywords, 12 bidders), which the brute-force
-references in test_oracles.py cannot.  scipy is not a package dependency, so
-the module is skipped without it.
+references in test_oracles.py cannot.  numpy and scipy are not package
+dependencies, so the module is skipped without either.
 """
 
 import random
 
-import numpy as np
 import pytest
 
 from auctionlab import Instance, max_matching, opt_1paa, opt_2pm, random_2paa, random_2pm
 
+np = pytest.importorskip("numpy")
 scipy_optimize = pytest.importorskip("scipy.optimize")
 csgraph = pytest.importorskip("scipy.sparse.csgraph")
 sparse = pytest.importorskip("scipy.sparse")

@@ -359,9 +359,8 @@ def _no_pool(*args, **kwargs):
 
 
 def test_light_run_stays_in_process(monkeypatch):
-    import auctionlab.harness as harness
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    # run_experiment imports the pool class from concurrent.futures as it pools
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
     monkeypatch.setenv("AUCTIONLAB_WORKERS", "2")
     # one decision, after trial 1: pooling the last trial would need trial 1
     # to take 2 * _POOL_COST_S, hundreds of times a chain trial's cost
@@ -373,7 +372,7 @@ def test_light_run_stays_in_process(monkeypatch):
 def test_cap_one_never_pools(monkeypatch):
     import auctionlab.harness as harness
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
     monkeypatch.setattr(harness, "_POOL_COST_S", 0.0)
     monkeypatch.setenv("AUCTIONLAB_WORKERS", "1")
     report, records = run_experiment("reverse-match", trials=40, seed=0)
