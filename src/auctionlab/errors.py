@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and how their messages quote given text."""
+"""Exception types shared across the package, and the helpers that word their messages."""
 
 
 def _quoted(text: str) -> str:
@@ -6,6 +6,13 @@ def _quoted(text: str) -> str:
     if len(text) <= 40:
         return repr(text)
     return f"{text[:20] + '...' + text[-20:]!r} ({len(text)} characters)"
+
+
+def _at_least(**bounds: tuple[int, int]) -> None:
+    """Refuse the first parameter, in argument order, whose value is below its bound."""
+    for name, (value, low) in bounds.items():
+        if value < low:
+            raise InvalidParams(f"{name} must be >= {low}, got {value}")
 
 
 class AuctionError(Exception):

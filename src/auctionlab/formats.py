@@ -25,17 +25,10 @@ from typing import IO, Iterable, Mapping
 from .model import Action, Assign, AuctionTrace, Instance
 
 
-def frac_str(value: Fraction | int | None) -> str:
-    if value is None:
-        return ""
+def frac_str(value: Fraction | int) -> str:
     if isinstance(value, int):
         return str(value)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_frac(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from itertools import compress, repeat
 from types import MappingProxyType
 from typing import Sequence
 
-from .errors import InvalidParams, NonDeterministicPolicy
+from .errors import InvalidParams, NonDeterministicPolicy, _at_least
 from .model import Action, Assign, AuctionTrace, BudgetState, Instance, _settle
 from .online import OnlinePolicy
 
@@ -80,8 +80,7 @@ def adversary_vs_policy(policy: OnlinePolicy, m: int) -> AdversaryTranscript:
     two fresh bidders.  From then on, every keyword pairs the bidder the
     policy consumed with one fresh bidder, so no later allocation can pay.
     """
-    if m < 1:
-        raise InvalidParams(f"m must be >= 1, got {m}")
+    _at_least(m=(m, 1))
     if not getattr(policy, "deterministic", False):
         raise NonDeterministicPolicy("adversary requires a deterministic policy")
     if policy.kind != "auction":
@@ -144,8 +143,7 @@ def sample_chain(
     m - 1 choices (0 or 1, the index into keyword i's pair) used instead of
     drawn ones.
     """
-    if m < 1:
-        raise InvalidParams(f"m must be >= 1, got {m}")
+    _at_least(m=(m, 1))
     if coins is not None and (len(coins) != m - 1 or any(c not in (0, 1) for c in coins)):
         raise InvalidParams(f"coins must be m - 1 = {m - 1} values of 0 or 1, got {coins!r}")
     rng = random.Random(seed)
@@ -210,9 +208,7 @@ def _bernoulli_row(rng: random.Random, n: int, p: float) -> list[int]:
             a, b = struct.unpack_from("<II", raw, 8 * tie)
             flags[tie] = ((a >> 5) << 26 | b >> 6) < threshold
             tie = flags.find(2, tie + 1)
-    if 8 * flags.count(1) >= n:
-        return list(compress(range(n), flags))
-    hits = []  # few hits: find them instead of walking every flag
+    hits = []
     j = flags.find(1)
     while j >= 0:
         hits.append(j)
@@ -238,13 +234,6 @@ def _uniform_row(rng: random.Random, count: int, width: int) -> list[int]:
         tries = [w >> drop for w in struct.unpack(f"<{need}I", raw)]
         values += [x for x in tries if x < width]
     return values
-
-
-def _at_least(**bounds: tuple[int, int]) -> None:
-    """Refuse the first parameter, in argument order, whose value is below its bound."""
-    for name, (value, low) in bounds.items():
-        if value < low:
-            raise InvalidParams(f"{name} must be >= {low}, got {value}")
 
 
 def _pad_row(rng: random.Random, row: list[int], n: int) -> list[int]:

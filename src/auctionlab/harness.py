@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .errors import EmptyStream, InvalidParams, TooLarge, UnknownSuite, _quoted
+from .errors import EmptyStream, InvalidParams, TooLarge, UnknownSuite, _at_least, _quoted
 from .generators import (
     adversary_vs_policy,
     perfect_matchable_2pm,
@@ -186,8 +186,7 @@ _BATTERY = (("greedy", greedy_2pm), ("skip-all", skip_all), ("first-available", 
 def _adversary_trials(params: dict) -> int:
     """One trial per (policy, m) pair for m = 1..m_max."""
     m_max = params["m_max"]
-    if m_max < 1:
-        raise InvalidParams(f"m_max must be >= 1, got {m_max}")
+    _at_least(m_max=(m_max, 1))
     return len(_BATTERY) * m_max
 
 
@@ -205,8 +204,7 @@ def _adversary_violates(record: TrialRecord) -> bool:
 
 def _top_c_trial(params: dict, index: int, seed: int):
     c, nk, nb = params["c"], params["num_keywords"], params["num_bidders"]
-    if c < 1:  # top_c's own message: random_2paa would name its target_r_min
-        raise InvalidParams(f"c must be >= 1, got {c}")
+    _at_least(c=(c, 1))  # top_c's own message: random_2paa would name its target_r_min
     inst = random_2paa(nk, nb, params["max_bid"], c, seed=seed)
     return f"2paa {nk}x{nb} c={c}", top_c(inst, c).value, top_c_bound(inst, c)
 
@@ -353,8 +351,7 @@ def run_experiment(
     started = time.perf_counter()
     if spec.trials is not None:
         trials = spec.trials(merged)
-    elif trials < 1:
-        raise InvalidParams(f"trials must be >= 1, got {trials}")
+    _at_least(trials=(trials, 1))
     cap = worker_cap()
     records: list[TrialRecord | None] = []
     timed = 0.0  # seconds spent in trials 1..index-1

@@ -179,18 +179,16 @@ class Instance:
 def unit_instance(
     adjacency: Mapping[str, Sequence[str]],
     bidders: Sequence[str] | None = None,
-    keywords: Sequence[str] | None = None,
 ) -> Instance:
     """All-ones instance from keyword -> neighbor lists (budgets 1, bids 1)."""
-    kws = tuple(keywords) if keywords is not None else tuple(adjacency)
     if bidders is None:
         seen: dict[str, None] = {}
-        for u in kws:
-            for v in adjacency.get(u, ()):
+        for row in adjacency.values():
+            for v in row:
                 seen.setdefault(v)
         bidders = tuple(seen)
-    bids = {(u, v): 1 for u in kws for v in adjacency.get(u, ())}
-    return Instance(kws, tuple((v, 1) for v in bidders), bids)
+    bids = {(u, v): 1 for u, row in adjacency.items() for v in row}
+    return Instance(tuple(adjacency), tuple((v, 1) for v in bidders), bids)
 
 
 def _winner_pairs(instance: Instance, winners: Mapping[str, str]) -> list[tuple[str, str]]:

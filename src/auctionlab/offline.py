@@ -6,7 +6,7 @@ import warnings
 from contextlib import suppress
 from fractions import Fraction
 
-from .errors import InfeasibleTrace, InvalidParams, NoPositiveBids, UnresolvableSecondBidder
+from .errors import InfeasibleTrace, NoPositiveBids, UnresolvableSecondBidder, _at_least
 from .model import SKIP, Action, Assign, AuctionTrace, Instance, execute, r_min, settle_all
 from .oracles import _matching_owners, _neighbor_rows, _require_unit, _second_bids
 from .reductions import resolve_second_bidder
@@ -22,8 +22,7 @@ def top_c(instance: Instance, c: int) -> AuctionTrace:
     second-highest bids; otherwise a warning is issued and the pair is
     oriented by current effective bids so the trace stays legal.
     """
-    if c < 1:
-        raise InvalidParams(f"c must be >= 1, got {c}")
+    _at_least(c=(c, 1))
     with suppress(NoPositiveBids):
         if r_min(instance) < c:
             warnings.warn(

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InvalidParams, PolicyViolation
+from .errors import InvalidParams, PolicyViolation, _at_least
 from .model import SKIP, Action, Assign, Instance, settle_all
 from .oracles import Matching
 
@@ -225,8 +225,7 @@ def left_k_copy(instance: Instance, k: int) -> LeftKCopy:
 
     Each copy keeps the original's bids; bidders and budgets are shared.
     """
-    if k < 1:
-        raise InvalidParams(f"k must be >= 1, got {k}")
+    _at_least(k=(k, 1))
     taken = set(instance.keywords)
     keywords: list[str] = []
     zeta: dict[str, str] = {}

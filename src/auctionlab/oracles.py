@@ -205,12 +205,12 @@ def _no_key(rem: list[int]) -> tuple[()]:
     return ()
 
 
-def _search_root(name: str, m: int, best: Callable[..., int], *root) -> int:
+def _search_root(name: str, depth: int, best: Callable[..., int], *root) -> int:
     """Run a recursive search from its root; too deep a search is TooLarge."""
     try:
         return best(*root)
     except RecursionError:
-        raise TooLarge(f"{name} needs search depth {m}, beyond the recursion limit") from None
+        raise TooLarge(f"{name} needs search depth {depth}, beyond the recursion limit") from None
 
 
 def _search_stats(nodes: int, memos: Sequence[dict]) -> SearchStats:
@@ -253,7 +253,7 @@ def _budget_search(
         return entry[0]
 
     try:
-        total = _search_root(name, len(rows), best, 0, rem) if depth else 0
+        total = _search_root(name, depth, best, 0, rem) if depth else 0
     finally:
         del best  # the closure holds itself through this cell; free the tables with it
 

@@ -20,6 +20,7 @@ from .errors import (
     InvalidParams,
     NotAPartition,
     UnresolvableSecondBidder,
+    _at_least,
 )
 from .model import (
     SKIP,
@@ -90,8 +91,7 @@ def partition_to_2paa(weights: Sequence[int], c: int) -> PartitionGadget:
     n = len(ws)
     if n == 0 or n % 2 != 0:
         raise InvalidParams(f"need an even positive number of weights, got {n}")
-    if c < 1:
-        raise InvalidParams(f"c must be >= 1, got {c}")
+    _at_least(c=(c, 1))
     for w in ws:
         if isinstance(w, bool) or not isinstance(w, int) or w <= 0:
             raise InvalidParams(f"weights must be positive ints, got {w!r}")
@@ -237,6 +237,12 @@ def vc_to_2pm(vertices: Sequence[str], edges: Sequence[tuple[str, str]]) -> VcGa
         + tuple(b for v in verts for b in (y_b[v], z_b[v]))
         + tuple(x_b[e] for e in norm_edges)
     )
+    for kind, ids in (("keyword", keywords), ("bidder", bidder_ids)):
+        taken: set[str] = set()
+        for x in ids:
+            if x in taken:
+                raise InvalidParams(f"vertex labels give a duplicate {kind} id {x!r}")
+            taken.add(x)
     bids: dict[tuple[str, str], int] = {}
     for v in verts:
         bids[(h_kw[v], v)] = 1
@@ -298,7 +304,7 @@ def extract_vertex_cover(gadget: VcGadget, trace: AuctionTrace) -> frozenset[str
         raise InfeasibleTrace(f"normalization lost value: {value} < {trace.value}")
     if not all(s in cover or t in cover for s, t in gadget.edges):
         raise InfeasibleTrace("extracted vertex set misses an edge")
-    if len(cover) != 2 * len(gadget.vertices) + len(gadget.edges) - value:
+    if value != gadget.identity_value(len(cover)):
         raise InfeasibleTrace(f"cover size {len(cover)} breaks the identity at value {value}")
     return cover
 

@@ -474,6 +474,24 @@ def test_reduce_files_match_their_pinned_digests(tmp_path, name):
     assert hashlib.sha256(roles.read_bytes()).hexdigest() == roles_digest
 
 
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ("a y:a\n", "vertex labels give a duplicate bidder id 'y:a'"),
+        ("a b-c\na-b c\n", "vertex labels give a duplicate keyword id 'e:a-b-c'"),
+    ],
+    ids=["vertex-is-a-y-bidder", "edges-share-a-name"],
+)
+def test_reduce_refuses_labels_that_repeat_a_gadget_id(tmp_path, capsys, graph, message):
+    (tmp_path / "graph.txt").write_text(graph)
+    argv = ["reduce", "--from", "vertex-cover", "--graph", str(tmp_path / "graph.txt")]
+    assert main([*argv, "--out", str(tmp_path / "gadget.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.txt"]
+
+
 def test_reduce_vertex_cover_requires_graph():
     with pytest.raises(SystemExit) as err:
         main(["reduce", "--from", "vertex-cover", "--out", "x.json"])
@@ -524,6 +542,12 @@ def test_reduce_vertex_cover_requires_graph():
           "--params", "m=x"], 2, "suite 'greedy-chain' parameter 'm' must be int, got 'x'"),
         (["experiment", "--suite", "greedy-chain", "--seed", "1", "--trials", "3",
           "--params", "m=3,m=5"], 2, "duplicate parameter 'm'"),
+        (["experiment", "--suite", "greedy-chain", "--seed", "1", "--trials", "3",
+          "--params", "m=3,,m=5"], 2, "duplicate parameter 'm'"),
+        (["experiment", "--suite", "adversary", "--seed", "1", "--params", "m_max=0"], 2,
+         "m_max must be >= 1, got 0"),
+        (["experiment", "--suite", "ranking-simulate", "--seed", "1", "--trials", "3",
+          "--params", "extra_edge_prob=2"], 2, "edge probability 2.0 outside [0, 1]"),
     ],
     ids=[
         "generate-chain-m", "generate-gap-k", "generate-adversary-policy",
@@ -533,6 +557,8 @@ def test_reduce_vertex_cover_requires_graph():
         "experiment-top-c", "experiment-top-c-max-bid", "generate-random-2pm-n",
         "generate-random-2pm-m", "generate-random-2paa-r", "generate-random-2paa-n",
         "experiment-unparsable-param", "experiment-duplicate-param",
+        "experiment-empty-param-chunk", "experiment-adversary-m-max",
+        "experiment-simulate-p",
     ],
 )
 def test_refused_values_exit_two_and_bad_data_exits_one(

@@ -21,7 +21,6 @@ from auctionlab.formats import (
     instance_to_doc,
     load_instance,
     matching_to_doc,
-    parse_frac,
     read_edge_list,
     record_to_doc,
     records_to_csv,
@@ -120,15 +119,6 @@ def test_frac_str_formats():
     assert frac_str(5) == "5"
     assert frac_str(Fraction(5, 1)) == "5/1"
     assert frac_str(Fraction(7, 3)) == "7/3"
-    assert frac_str(None) == ""
-
-
-def test_parse_frac_accepts_both_shapes():
-    assert parse_frac("5") == 5
-    assert parse_frac("5/1") == 5
-    assert parse_frac("7/3") == Fraction(7, 3)
-    with pytest.raises(ValueError):
-        parse_frac("x")
 
 
 def test_read_edge_list():
@@ -154,8 +144,8 @@ def test_records_csv_shape():
     assert tuple(rows[0]) == RECORD_FIELDS
     assert rows[1] == ["greedy-chain", "0", "11", "chain m=9", "6", "5/1", "5/6"]
     assert rows[2][5] == "5"
-    assert parse_frac(rows[2][5]) == parse_frac(rows[1][5])
-    assert parse_frac(rows[2][6]) == Fraction(5, 4)
+    assert Fraction(rows[2][5]) == Fraction(rows[1][5])
+    assert Fraction(rows[2][6]) == Fraction(5, 4)
 
 
 def test_record_doc_uses_frac_strings():

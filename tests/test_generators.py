@@ -144,6 +144,18 @@ def test_adversary_rejects_randomized_and_matching_policies():
         adversary_vs_policy(greedy_2pm(), 0)
 
 
+def test_adversary_refuses_a_deterministic_matching_policy():
+    class FirstNeighbor(OnlinePolicy):
+        kind = "matching"
+        deterministic = True
+
+        def choose(self, step, keyword, bids):
+            return next(iter(bids), None)
+
+    with pytest.raises(NonDeterministicPolicy, match="^adversary plays the second-price game$"):
+        adversary_vs_policy(FirstNeighbor(), 3)
+
+
 def test_adversary_and_run_online_refuse_the_same_non_action():
     class Rogue(OnlinePolicy):
         deterministic = True

@@ -25,7 +25,7 @@ from auctionlab import (
     run_experiment,
     summarize,
 )
-from auctionlab.formats import parse_frac, records_to_csv
+from auctionlab.formats import records_to_csv
 from auctionlab.harness import (
     _SUITES,
     SUITES,
@@ -446,8 +446,8 @@ def _records_from_csv(text):
                 int(seed),
                 instance,
                 int(value),
-                parse_frac(reference),
-                parse_frac(ratio),
+                Fraction(reference),
+                Fraction(ratio),
             )
         )
     return records

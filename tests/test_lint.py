@@ -150,3 +150,42 @@ def test_no_module_imports_a_name_it_does_not_use():
 def test_unused_import_lint_reads_names_not_text():
     sample = "import os.path\nfrom a import b, c as d\nfrom __future__ import annotations\nx = d\n'b'\n"
     assert _unused_imports(ast.parse(sample)) == [(1, "os"), (2, "b")]
+
+
+# "x must be >= low, got v" is written once, by errors._at_least; a module
+# that checks a lower bound calls it instead of raising the message itself
+def _hand_written_bounds(tree):
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "InvalidParams"
+            and node.exc.args
+        ):
+            continue
+        message = node.exc.args[0]
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        text = "".join(p.value for p in parts if isinstance(p, ast.Constant) and isinstance(p.value, str))
+        if "must be >=" in text:
+            yield node.lineno
+
+
+def test_lower_bounds_are_refused_by_the_one_rule():
+    found = [
+        (path.name, line)
+        for path in SOURCES
+        for line in _hand_written_bounds(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert [name for name, _ in found] == ["errors.py"], found
+
+
+def test_bound_lint_reads_raises_not_text():
+    sample = (
+        'raise InvalidParams(f"m must be >= 1, got {m}")\n'
+        'raise InvalidParams("k must be >= 1")\n'
+        'raise InvalidParams(f"need c >= 1, got {c}")\n'
+        'raise ValueError(f"m must be >= 1, got {m}")\n'
+        'x = "must be >= 1"\n'
+    )
+    assert list(_hand_written_bounds(ast.parse(sample))) == [1, 2]

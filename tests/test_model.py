@@ -230,6 +230,12 @@ def test_instance_views():
         inst.bidder_index("Z")
 
 
+@pytest.mark.parametrize("view, args", [("bid", ("z", "A")), ("positive_bids", ("z",))])
+def test_views_refuse_an_unknown_keyword(view, args):
+    with pytest.raises(UnknownId, match="^unknown keyword 'z'$"):
+        getattr(one_keyword_instance(), view)(*args)
+
+
 def test_unit_instance_builder():
     inst = unit_instance({"u1": ["a", "b"], "u2": ["b", "c"]})
     assert inst.is_unit()
@@ -252,6 +258,18 @@ def test_validate_flags_duplicates_negatives_and_unknown_refs():
     assert not validate(neg).ok
     ghost = Instance(("u",), (("A", 1),), {("u", "Z"): 1})
     assert not validate(ghost).ok
+
+
+@pytest.mark.parametrize(
+    "bids, error",
+    [
+        ({("z", "A"): 1}, "bid references unknown keyword 'z'"),
+        ({("u", "A"): -1}, "negative bid ('u', 'A'): -1"),
+    ],
+    ids=["unknown-keyword", "negative-bid"],
+)
+def test_validate_names_a_bid_on_an_unknown_keyword_and_a_negative_bid(bids, error):
+    assert validate(Instance(("u",), (("A", 1),), bids)).errors == (error,)
 
 
 def test_validate_warns_on_degree_one_keyword_in_unit_instance():

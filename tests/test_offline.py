@@ -184,6 +184,10 @@ def test_reverse_match_on_a_2000_square_matches_its_digest(seed, value, digest):
     assert hashlib.sha256(json.dumps(trace_to_doc(trace)).encode()).hexdigest() == digest
 
 
+def test_top_c_bound_of_an_instance_without_keywords_is_zero():
+    assert top_c_bound(Instance((), (("A", 1),), {}), 1) == 0
+
+
 def test_reverse_match_rejects_weighted_instances():
     inst = Instance(("u",), (("A", 2), ("B", 1)), {("u", "A"): 2, ("u", "B"): 1})
     message = r"reverse_match needs an all-ones instance \(budgets 1, bids 0/1\)"

@@ -68,6 +68,11 @@ def test_first_available_accepts_zero_price():
     assert trace.final_budgets == {"v1": 0, "v2": 1}
 
 
+def test_first_available_skips_a_keyword_with_one_bidder():
+    trace = run_online(bottleneck_instance(), first_available())
+    assert trace.actions() == (Assign("v1", "v2"), SKIP)
+
+
 def test_driver_is_deterministic_for_deterministic_policies():
     inst = pair_instance()
     assert run_online(inst, greedy_2pm(), seed=1) == run_online(

@@ -532,6 +532,15 @@ def test_search_deeper_than_the_recursion_limit_is_too_large(oracle):
         oracle(_deep_unit())
 
 
+def test_opt_2paa_names_the_depth_it_searches():
+    # the 100 single-bidder keywords after the deep part charge nothing, so
+    # opt_2paa searches only the first 1200 keywords
+    adjacency = {f"u{i}": [f"a{i}", f"b{i}"] for i in range(1200)}
+    adjacency.update({f"s{i}": [f"a{i}"] for i in range(100)})
+    with pytest.raises(TooLarge, match="^opt_2paa needs search depth 1200, "):
+        opt_2paa(unit_instance(adjacency))
+
+
 # ----------------------------------------------------------------------
 # search statistics
 

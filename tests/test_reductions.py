@@ -147,6 +147,24 @@ def test_vc_gadget_rejects_malformed_graphs():
         vc_to_2pm(("a", "b"), (("a", "b"), ("b", "a")))
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (("a", "y:a"), (("a", "y:a"),), "vertex labels give a duplicate bidder id 'y:a'"),
+        (
+            ("a", "b-c", "a-b", "c"),
+            (("a", "b-c"), ("a-b", "c")),
+            "vertex labels give a duplicate keyword id 'e:a-b-c'",
+        ),
+    ],
+    ids=["vertex-is-a-y-bidder", "edges-share-a-name"],
+)
+def test_vc_gadget_refuses_labels_that_repeat_a_gadget_id(vertices, edges, message):
+    with pytest.raises(InvalidParams) as err:
+        vc_to_2pm(vertices, edges)
+    assert str(err.value) == message
+
+
 def test_vc_identity_on_small_graphs():
     # OPT_2P = 2|V| + |E| - OPT_VC
     cases = [
