@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleTrace, NoPositiveBids, UnresolvableSecondBidder, _at_least
 from .model import SKIP, Action, Assign, AuctionTrace, Instance, execute, r_min, settle_all
-from .oracles import _matching_owners, _neighbor_rows, _require_unit, _second_bids
+from .oracles import _matching_owners, _neighbor_rows, _owners, _require_unit, _second_bids
 from .reductions import resolve_second_bidder
 
 
@@ -67,10 +67,14 @@ def reverse_match(instance: Instance) -> AuctionTrace:
 
     rows = _neighbor_rows(instance)
     thin = sum(len(row) < 2 for row in rows)
+    # bidder index -> keyword position, and its inverse; without a thin row
+    # the kernel's rows are max_matching's, so its kept map is copied
     if thin:
         warnings.warn(f"dropping {thin} keyword(s) with fewer than two bidders", stacklevel=2)
-    # bidder index -> keyword position, and its inverse
-    owner = _matching_owners([row if len(row) >= 2 else () for row in rows], len(instance.bidders))
+        paying = [row if len(row) >= 2 else () for row in rows]
+        owner = _matching_owners(paying, len(instance.bidders))
+    else:
+        owner = dict(_owners(instance))
     mate = {t: i for i, t in owner.items()}
     size = len(mate)  # the loop below removes sacrificed keywords from both maps
 

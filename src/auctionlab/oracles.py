@@ -106,9 +106,8 @@ def max_matching(instance: Instance) -> Matching:
     Deterministic: keywords are processed in arrival order and bidders
     probed in index order, so reruns yield the identical matching.
     """
-    owner = _matching_owners(_neighbor_rows(instance), len(instance.bidders))
     ids, keywords = instance.bidder_ids, instance.keywords
-    return Matching({keywords[t]: ids[i] for i, t in owner.items()})
+    return Matching({keywords[t]: ids[i] for i, t in _owners(instance).items()})
 
 
 def _matching_owners(rows: Sequence[tuple[int, ...]], n: int) -> dict[int, int]:
@@ -160,10 +159,30 @@ def _require_unit(instance: Instance, who: str) -> None:
         raise InvalidParams(f"{who} needs an all-ones instance (budgets 1, bids 0/1)")
 
 
-def _neighbor_rows(instance: Instance) -> list[tuple[int, ...]]:
-    """Each keyword's positive bidders as bidder indices, in index order."""
-    index = instance.bidder_index
-    return [tuple(map(index, instance.positive_bids(u))) for u in instance.keywords]
+def _kept(instance: Instance, name: str, make: Callable[[], object]):
+    """The derived table `name` of `instance`: `make()` on first use, then the kept one.
+
+    It is stored beside `_rows` and `_index`, outside the dataclass fields, so
+    it takes no part in equality or repr and `dataclasses.replace` builds an
+    instance without it.  Kept tables are read-only: a caller that changes
+    one changes what every later caller reads.
+    """
+    kept = vars(instance)
+    if name not in kept:
+        object.__setattr__(instance, name, make())
+    return kept[name]
+
+
+def _neighbor_rows(instance: Instance) -> tuple[tuple[int, ...], ...]:
+    """Each keyword's positive bidders as bidder indices, in index order (kept)."""
+    index, rows = instance.bidder_index, map(instance.positive_bids, instance.keywords)
+    return _kept(instance, "_neighbor_rows", lambda: tuple(tuple(map(index, r)) for r in rows))
+
+
+def _owners(instance: Instance) -> dict[int, int]:
+    """`_matching_owners` over `_neighbor_rows` (kept; read-only)."""
+    n = len(instance.bidders)
+    return _kept(instance, "_owners", lambda: _matching_owners(_neighbor_rows(instance), n))
 
 
 def _budget_rows(
@@ -377,13 +396,14 @@ def opt_2pm(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResu
     return OptResult(total, trace, _search_stats(nodes, memos[:m]))
 
 
-def _second_bids(instance: Instance) -> list[int]:
-    """Per keyword, the second-highest positive bid (0 with fewer than two)."""
-    seconds = []
-    for u in instance.keywords:
-        amounts = sorted(instance.positive_bids(u).values(), reverse=True)
-        seconds.append(amounts[1] if len(amounts) >= 2 else 0)
-    return seconds
+def _second_bids(instance: Instance) -> tuple[int, ...]:
+    """Per keyword, the second-highest positive bid, 0 with fewer than two (kept)."""
+
+    def seconds() -> tuple[int, ...]:
+        rows = (sorted(instance.positive_bids(u).values()) for u in instance.keywords)
+        return tuple(row[-2] if len(row) >= 2 else 0 for row in rows)
+
+    return _kept(instance, "_second_bids", seconds)
 
 
 def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptResult:
@@ -417,22 +437,26 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
     # no keyword from `depth` on can charge a positive price
     depth = suffix.index(0)
 
+    # per row, each second bidder with the row's other entries, in index order
+    pairs = [[(i, a, row[:j] + row[j + 1 :]) for j, (i, a, _) in enumerate(row)]
+             for row in rows[:depth]]
+
     def expand(t: int, rem: list[int], memo: dict, key: Callable, best: Callable) -> tuple:
-        later, row = suffix[t + 1], rows[t]
-        skip = _clamped(rem, row)
+        later = suffix[t + 1]
+        skip = _clamped(rem, rows[t])
         hit = memo.get(key(skip))
         value = hit[0] if hit is not None else best(t + 1, skip)
         choice = None
-        for j, (second, bid2, _) in enumerate(row):
+        for second, bid2, others in pairs[t]:
             have = rem[second]
             eff2 = bid2 if bid2 < have else have  # min() without the call
             if eff2 <= 0 or eff2 + later <= value:
                 continue
-            for i, (first, bid1, after) in enumerate(row):
-                if i == j or bid1 < eff2 or rem[first] < eff2:
+            for first, bid1, after in others:
+                spent = rem[first] - eff2
+                if bid1 < eff2 or spent < 0:
                     continue
                 child = skip.copy()
-                spent = rem[first] - eff2
                 child[first] = spent if spent < after else after
                 hit = memo.get(key(child))
                 got = eff2 + (hit[0] if hit is not None else best(t + 1, child))

@@ -585,3 +585,56 @@ def test_readme_names_every_suite_with_its_verdict_kind():
         kind, *suites = re.findall(r"`([a-z-]+)`", item)
         documented += [(suite, kind) for suite in suites]
     assert sorted(documented) == sorted((suite, _SUITES[suite].kind) for suite in SUITES)
+
+
+# ----------------------------------------------------------------------
+# a trial derives each table of its instance once
+
+
+def _count_kernel_runs(monkeypatch):
+    import auctionlab.offline as offline
+    import auctionlab.oracles as oracles
+
+    runs, kernel = [], oracles._matching_owners
+
+    def counted(rows, n):
+        runs.append(n)
+        return kernel(rows, n)
+
+    for module in (oracles, offline):
+        monkeypatch.setattr(module, "_matching_owners", counted)
+    return runs
+
+
+def _count_table_builds(monkeypatch):
+    import auctionlab.oracles as oracles
+
+    builds, kept = [], oracles._kept
+
+    def counted(instance, name, make):
+        def build():
+            builds.append(name)
+            return make()
+
+        return kept(instance, name, build)
+
+    monkeypatch.setattr(oracles, "_kept", counted)
+    return builds
+
+
+def test_a_reverse_match_trial_runs_the_matching_kernel_once(monkeypatch):
+    runs = _count_kernel_runs(monkeypatch)
+    suite = _SUITES["reverse-match"]
+    for seed in range(5):
+        runs.clear()
+        assert suite.trial(dict(suite.defaults), seed, seed) is not None
+        assert len(runs) == 1, seed
+
+
+def test_a_top_c_trial_builds_the_second_bids_once(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    suite = _SUITES["top-c"]
+    for seed in range(5):
+        builds.clear()
+        suite.trial(dict(suite.defaults), seed, seed)
+        assert builds == ["_second_bids"], seed

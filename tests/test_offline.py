@@ -1,8 +1,10 @@
 """Offline algorithms: top-c selection and reverse-order matching."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import warnings
 
 import pytest
@@ -237,3 +239,61 @@ def test_reverse_match_refuses_a_trace_below_half_its_matching(monkeypatch):
     inst = unit_instance({"u1": ["v1", "v2"], "u2": ["v1", "v2"]})
     with pytest.raises(InfeasibleTrace, match="value 0 is below half the matching size 2"):
         reverse_match(inst)
+
+
+# ----------------------------------------------------------------------
+# tables kept on an instance: max_matching and reverse_match share one
+# matching, and keeping it changes nothing a caller can see
+
+
+def _fresh(inst):
+    return Instance(inst.keywords, inst.bidders, inst.bids)
+
+
+def _visible(name, inst):
+    """What `name` returns on `inst`, in a form that compares pair order."""
+    if name == "max_matching":
+        return list(max_matching(inst).pairs.items())
+    return json.dumps(trace_to_doc(reverse_match(inst)))
+
+
+def _thin():
+    return unit_instance({"u1": ["a"], "u2": ["a", "b"], "u3": ["b", "c"], "u4": ["a", "c"]})
+
+
+@pytest.mark.parametrize("order", [("reverse_match", "max_matching"), ("max_matching", "reverse_match")])
+def test_kept_tables_change_no_result_in_either_order(order):
+    instances = [random_2pm(8, 8, 0.4, seed=seed) for seed in range(12)] + [_thin()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the thin instance's dropped keyword
+        for inst in instances:
+            # each call twice: a pop leaking into the kept matching shows on the repeat
+            for name in order + order:
+                assert _visible(name, inst) == _visible(name, _fresh(inst))
+
+
+def test_reverse_match_with_a_thin_row_keeps_no_matching():
+    inst = _thin()
+    with pytest.warns(UserWarning, match="dropping 1"):
+        reverse_match(inst)
+    rows_only = _fresh(inst)
+    opt_2pm(rows_only)  # builds the index rows and nothing else
+    assert set(vars(inst)) == set(vars(rows_only))
+
+
+def test_an_instance_with_kept_tables_equals_prints_and_pickles_as_a_fresh_one():
+    inst = random_2pm(8, 8, 0.4, seed=3)
+    reverse_match(inst)
+    top_c_bound(inst, 2)
+    fresh = _fresh(inst)
+    assert set(vars(inst)) > set(vars(fresh))  # the tables are kept
+    assert inst == fresh and fresh == inst
+    assert repr(inst) == repr(fresh)
+    assert dataclasses.fields(inst) == dataclasses.fields(fresh)
+    assert pickle.loads(pickle.dumps(inst)) == fresh
+    assert set(vars(dataclasses.replace(inst))) == set(vars(fresh))
+    # a replaced field is matched afresh, not read from the original's tables
+    backwards = dataclasses.replace(inst, keywords=inst.keywords[::-1])
+    moved = Instance(inst.keywords[::-1], inst.bidders, inst.bids)
+    assert list(max_matching(backwards).pairs.items()) == list(max_matching(moved).pairs.items())
+    assert top_c_bound(backwards, 2) == top_c_bound(moved, 2)
