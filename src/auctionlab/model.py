@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -71,7 +72,7 @@ class Instance:
     `bids` maps (keyword, bidder) to an integer amount; absent pairs bid 0.
     Construction only type-checks; semantic problems (duplicate ids, a bid
     exceeding its bidder's budget, negative amounts) are representable and
-    reported by :func:`validate`.
+    reported by :func:`validate`.  The rows `positive_bids` reads are built on first read.
     """
 
     keywords: tuple[str, ...]
@@ -109,13 +110,17 @@ class Instance:
         object.__setattr__(self, "bids", bids)
         index = {v: i for i, (v, _) in enumerate(self.bidders)}
         object.__setattr__(self, "_index", index)
+
+    @cached_property
+    def _rows(self) -> dict[str, dict[str, int]]:
         # per-keyword positive bids, in bidder-index order: filled in bid
         # order, and only a row whose indices arrived out of order is sorted.
         # `tail` is the index of the last bid put in `row`, the row of `at`.
+        index = self._index  # type: ignore[attr-defined]
         rows: dict[str, dict[str, int]] = {u: {} for u in self.keywords}
         unsorted = set()
         at, row, tail = object(), {}, -1  # object(): no keyword yet
-        for (u, v), a in bids.items():
+        for (u, v), a in self.bids.items():
             if a > 0 and u in rows and v in index:
                 i = index[v]
                 if u != at:
@@ -127,7 +132,7 @@ class Instance:
                 row[v] = a
         for u in unsorted:
             rows[u] = dict(sorted(rows[u].items(), key=lambda item: index[item[0]]))
-        object.__setattr__(self, "_rows", rows)
+        return rows
 
     # ------------------------------------------------------------------
     # views
@@ -154,16 +159,17 @@ class Instance:
         return {v: b for v, b in self.bidders}
 
     def bid(self, keyword: str, bidder: str) -> int:
-        if keyword not in self._rows:  # type: ignore[attr-defined]
+        if keyword not in self._rows:
             raise UnknownId(f"unknown keyword {keyword!r}")
         self.bidder_index(bidder)
         return self.bids.get((keyword, bidder), 0)
 
     def positive_bids(self, keyword: str) -> Mapping[str, int]:
         """Read-only view of the positive bids on `keyword`, in bidder-index order."""
-        if keyword not in self._rows:  # type: ignore[attr-defined]
-            raise UnknownId(f"unknown keyword {keyword!r}")
-        return MappingProxyType(self._rows[keyword])  # type: ignore[attr-defined]
+        try:  # one read of `_rows`: a cached value takes the slower `__dict__` path
+            return MappingProxyType(self._rows[keyword])
+        except KeyError:
+            raise UnknownId(f"unknown keyword {keyword!r}") from None
 
     def neighbors(self, keyword: str) -> tuple[str, ...]:
         """Bidders with a positive bid on `keyword`, in bidder-index order."""
@@ -197,7 +203,7 @@ def _winner_pairs(instance: Instance, winners: Mapping[str, str]) -> list[tuple[
     Raises UnknownId for a keyword or a winner that is not in `instance`.
     """
     for u, v in winners.items():
-        if u not in instance._rows:  # type: ignore[attr-defined]
+        if u not in instance._rows:
             raise UnknownId(f"unknown keyword {u!r}")
         instance.bidder_index(v)
     return [(u, winners[u]) for u in instance.keywords if u in winners]

@@ -162,10 +162,11 @@ def _require_unit(instance: Instance, who: str) -> None:
 def _kept(instance: Instance, name: str, make: Callable[[], object]):
     """The derived table `name` of `instance`: `make()` on first use, then the kept one.
 
-    It is stored beside `_rows` and `_index`, outside the dataclass fields, so
-    it takes no part in equality or repr and `dataclasses.replace` builds an
-    instance without it.  Kept tables are read-only: a caller that changes
-    one changes what every later caller reads.
+    It is stored in the instance's `__dict__` beside `_index` and the `_rows`
+    built on first read, outside the dataclass fields, so it takes no part in
+    equality or repr and `dataclasses.replace` builds an instance without it.
+    Kept tables are read-only: a caller that changes one changes what every
+    later caller reads.
     """
     kept = vars(instance)
     if name not in kept:
@@ -437,9 +438,9 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
     # no keyword from `depth` on can charge a positive price
     depth = suffix.index(0)
 
-    # per row, each second bidder with the row's other entries, in index order
-    pairs = [[(i, a, row[:j] + row[j + 1 :]) for j, (i, a, _) in enumerate(row)]
-             for row in rows[:depth]]
+    # per row, each second bidder with the row's other entries, in index
+    # order; built on the row's first expansion
+    pairs: list = [None] * depth
 
     def expand(t: int, rem: list[int], memo: dict, key: Callable, best: Callable) -> tuple:
         later = suffix[t + 1]
@@ -447,6 +448,9 @@ def opt_2paa(instance: Instance, node_limit: int = DEFAULT_NODE_LIMIT) -> OptRes
         hit = memo.get(key(skip))
         value = hit[0] if hit is not None else best(t + 1, skip)
         choice = None
+        if pairs[t] is None:
+            row = rows[t]
+            pairs[t] = [(i, a, row[:j] + row[j + 1 :]) for j, (i, a, _) in enumerate(row)]
         for second, bid2, others in pairs[t]:
             have = rem[second]
             eff2 = bid2 if bid2 < have else have  # min() without the call

@@ -318,19 +318,23 @@ def to_first_price_bids(instance: Instance) -> Instance:
 
     The transformed bid b'(u, v) is what v would pay as a winner under
     second-price rules with everyone solvent; an empty candidate set gives 0.
-    Budgets are unchanged, so b' <= b <= budget still holds.
+    Budgets are unchanged, so b' <= b <= budget still holds.  The positive
+    b' are listed in the original's bid order, each under the original's
+    own key object, so the transform makes no new (keyword, bidder) pair.
     """
-    bids: dict[tuple[str, str], int] = {}
+    # zero and absent bids never yield a positive b', so only the positive
+    # row matters.  Each amount maps to its predecessor in sorted order; the
+    # last of tied amounts wins, mapping to itself.
+    b_prime = {}
     for u in instance.keywords:
-        # zero and absent bids never yield a positive b', so only the
-        # positive row matters.  Each amount maps to its predecessor in
-        # sorted order; the last of tied amounts wins, mapping to itself.
-        row = instance.positive_bids(u)
-        ordered = sorted(row.values())
-        b_prime = dict(zip(ordered, [0] + ordered))
-        for v, a in row.items():
-            if b_prime[a] > 0:
-                bids[(u, v)] = b_prime[a]
+        ordered = sorted(instance.positive_bids(u).values())
+        b_prime[u] = dict(zip(ordered, [0] + ordered))
+    index = instance._index  # type: ignore[attr-defined]
+    bids: dict[tuple[str, str], int] = {}
+    for key, a in instance.bids.items():
+        u, v = key  # the rows' filter: a positive bid on a known keyword and bidder
+        if a > 0 and u in b_prime and v in index and (b := b_prime[u][a]) > 0:
+            bids[key] = b
     return Instance(instance.keywords, instance.bidders, bids)
 
 

@@ -1,5 +1,7 @@
 """Exact auction semantics: effective bids, settlement, validation, r_min."""
 
+import dataclasses
+import io
 import pickle
 import random
 import re
@@ -24,10 +26,14 @@ from auctionlab import (
     UnknownId,
     effective_bid,
     execute,
+    first_price_value,
     r_min,
+    to_first_price_bids,
     unit_instance,
     validate,
 )
+from auctionlab.formats import dump_instance, instance_to_doc
+from shared import shuffled_parts
 
 
 def test_effective_bid_caps_at_remaining_budget():
@@ -527,20 +533,6 @@ def regrouped_rows(instance):
     return {u: [(v, a) for _, v, a in sorted(row)] for u, row in groups.items()}
 
 
-_MANY_BIDDERS = st.sampled_from([f"v{i}" for i in range(9)])
-
-
-@st.composite
-def shuffled_parts(draw):
-    """Repeated keyword and bidder ids, bids on unknown ids (u3 and v8 may be
-    left out), zero and negative amounts, and bids inserted in any order."""
-    keywords = draw(st.lists(_KEYWORDS, max_size=6))
-    bidders = draw(st.lists(st.tuples(_MANY_BIDDERS, st.integers(1, 9)), max_size=9))
-    pairs = draw(st.lists(st.tuples(_KEYWORDS, _MANY_BIDDERS), unique=True, max_size=30))
-    amounts = draw(st.lists(st.integers(-2, 9), min_size=len(pairs), max_size=len(pairs)))
-    return keywords, bidders, dict(draw(st.permutations(list(zip(pairs, amounts)))))
-
-
 _ROW_BIDDERS = (("v0", 1), ("v1", 1), ("v2", 1))
 
 
@@ -556,3 +548,55 @@ def test_instance_rows_follow_the_sort_per_row_rule(parts):
     assert list(inst._rows) == list(expected)
     for u, row in inst._rows.items():
         assert list(row.items()) == expected[u]
+
+
+def _unread(instance):
+    return "_rows" not in vars(instance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_parts())
+def test_rows_are_built_only_on_first_read(parts):
+    inst = Instance(*parts)
+    assert _unread(inst)
+    assert inst == Instance(*parts)
+    repr(inst)
+    again = pickle.loads(pickle.dumps(inst))
+    assert again == inst and _unread(again)
+    assert _unread(dataclasses.replace(inst))
+    assert _unread(dataclasses.replace(inst, keywords=inst.keywords[::-1]))
+    instance_to_doc(inst)
+    dump_instance(inst, io.StringIO())
+    assert _unread(inst)
+    assert _unread(to_first_price_bids(inst))  # the original's rows are read, not its output's
+
+
+def _outcome(read, instance):
+    try:
+        return read(instance)
+    except UnknownId as error:
+        return UnknownId, str(error)
+
+
+_ROW_READS = [
+    *(lambda inst, u=u: list(inst.positive_bids(u).items()) for u in ("u0", "u3", "x")),
+    *(lambda inst, u=u: inst.neighbors(u) for u in ("u0", "u3", "x")),
+    *(lambda inst, u=u, v=v: inst.bid(u, v) for u in ("u0", "u3", "x") for v in ("v0", "v8")),
+    *(lambda inst, w=w: first_price_value(inst, w)
+      for w in ({}, {"u0": "v0"}, {"u1": "v1", "u0": "v2"}, {"x": "v0"}, {"u2": "v8"})),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_parts())
+# a unit instance whose keyword u1 is thin, so validate warns
+@example((["u0", "u1"], _ROW_BIDDERS[:2], {("u0", "v1"): 1, ("u0", "v0"): 1, ("u1", "v0"): 1}))
+def test_a_first_read_gives_what_a_later_read_gives(parts):
+    keywords, bidders, bids = parts
+    unit = keywords, [(v, 1) for v, _ in bidders], {key: a % 2 for key, a in bids.items()}
+    for each in (parts, unit):
+        warm = Instance(*each)
+        warm._rows  # read before any query
+        for read in _ROW_READS:
+            assert _outcome(read, Instance(*each)) == _outcome(read, warm)
+        assert validate(Instance(*each)) == validate(warm)

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -509,6 +510,20 @@ def test_searches_fail_deterministically_beyond_node_limit():
         opt_2paa(weighted, node_limit=1)
     with pytest.raises(TooLarge):
         opt_1paa(weighted, node_limit=1)
+
+
+def test_opt_2paa_builds_a_row_pair_table_only_when_it_expands_the_row():
+    # dense rows: the (second, other entries) tables of every row would
+    # take over 20 MB, and a search stopped at its first child needs none
+    inst = random_2paa(150, 150, 9, 20, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="^opt_2paa exceeded node limit 1$"):
+            opt_2paa(inst, node_limit=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_exhaustive_tiny_unit_instances_match_naive():

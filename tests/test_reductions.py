@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from auctionlab import (
     opt_2paa,
     opt_2pm,
     partition_to_2paa,
+    random_2paa,
     random_construction,
     resolve_second_bidder,
     reverse_match,
@@ -38,6 +40,7 @@ from auctionlab import (
     yes_strategy,
 )
 from auctionlab.formats import instance_to_doc
+from shared import shuffled_parts
 
 # ----------------------------------------------------------------------
 # equal-sum partition gadget
@@ -314,6 +317,48 @@ def test_transformed_bids_never_exceed_originals():
     prime = to_first_price_bids(inst)
     for (u, v), b in prime.bids.items():
         assert b <= inst.bid(u, v) <= inst.budget_of(v)
+
+
+def sorted_first_price_bids(keywords, bidders, bids):
+    """b' by one sort per row of positive bids on known ids: the largest
+    other amount of the row not above the bid's own."""
+    index = {v: i for i, (v, _) in enumerate(bidders)}
+    rows = {u: {} for u in keywords}
+    for (u, v), a in bids.items():
+        if a > 0 and u in rows and v in index:
+            rows[u][v] = a
+    prime = {}
+    for u, row in rows.items():
+        for v, a in row.items():
+            below = sorted(b for w, b in row.items() if w != v and b <= a)
+            if below:
+                prime[u, v] = below[-1]
+    return prime
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_parts())
+def test_transform_matches_a_sort_per_row_and_keeps_the_original_keys_in_order(parts):
+    inst = Instance(*parts)
+    prime = to_first_price_bids(inst)
+    assert prime.bids == sorted_first_price_bids(*parts)
+    assert list(prime.bids) == [key for key in inst.bids if key in prime.bids]
+    originals = {key: key for key in inst.bids}
+    assert all(originals[key] is key for key in prime.bids)
+    assert (prime.keywords, prime.bidders) == (inst.keywords, inst.bidders)
+
+
+def test_transform_keeps_under_40_bytes_per_kept_bid():
+    inst = random_2paa(150, 150, 9, 2, seed=0)
+    inst._rows  # the original's rows are its own, read before the count
+    tracemalloc.start()
+    try:
+        prime = to_first_price_bids(inst)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(prime.bids) > 10_000
+    assert held <= 40 * len(prime.bids)
 
 
 # ----------------------------------------------------------------------
