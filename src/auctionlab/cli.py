@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 import warnings
 from typing import Mapping, Sequence
@@ -325,7 +326,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default", UserWarning)
         try:
-            return args.run(args, parser)
+            status = args.run(args, parser)
+            sys.stdout.flush()  # so a closed pipe fails here, not at shutdown
+            return status
+        except BrokenPipeError:
+            # stdout's reader has gone (`| head`): exit 1 quietly, as Unix
+            # tools do, and let the flush at shutdown write to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         except (AuctionError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

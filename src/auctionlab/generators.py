@@ -11,7 +11,7 @@ from types import MappingProxyType
 from typing import Sequence
 
 from .errors import InvalidParams, NonDeterministicPolicy, _at_least
-from .model import Action, Assign, AuctionTrace, BudgetState, Instance, _settle
+from .model import Action, Assign, AuctionTrace, BudgetState, Instance, TraceStep, _settle
 from .online import OnlinePolicy
 
 
@@ -86,6 +86,19 @@ def adversary_vs_policy(policy: OnlinePolicy, m: int) -> AdversaryTranscript:
     if policy.kind != "auction":
         raise NonDeterministicPolicy("adversary plays the second-price game")
 
+    return _adversary_prefix(_adversary_play(policy, m), m)
+
+
+# a played adversary game: its settled steps and each keyword's bidder pair
+_AdversaryPlay = tuple[tuple[TraceStep, ...], tuple[tuple[str, str], ...]]
+
+
+def _adversary_play(policy: OnlinePolicy, m: int) -> _AdversaryPlay:
+    """Play the adversary's m-arrival game against `policy`.
+
+    An arrival depends only on the settled history, never on m, so the game
+    of any shorter length is this game's prefix (see `_adversary_prefix`).
+    """
     policy.reset((), random.Random(0))
     state = BudgetState({})
     pairs: list[tuple[str, str]] = []
@@ -102,13 +115,23 @@ def adversary_vs_policy(policy: OnlinePolicy, m: int) -> AdversaryTranscript:
                 # a unit budget is spent only by the keyword its bidder won
                 anchor = next((v for v in pair if not state.remaining[v]), None)
 
-    trace = _settle(state, arrivals(), policy.decide)
+    return _settle(state, arrivals(), policy.decide).steps, tuple(pairs)
+
+
+def _adversary_prefix(play: _AdversaryPlay, m: int) -> AdversaryTranscript:
+    """The transcript of the first m arrivals of a `_adversary_play` game."""
+    steps, pairs = play[0][:m], play[1][:m]
+    remaining = dict.fromkeys((v for pair in pairs for v in pair), 1)  # first appearance
+    for s in steps:
+        if s.price:
+            remaining[s.action.first] -= s.price
+    trace = AuctionTrace(steps, sum(s.price for s in steps), remaining)
     instance = Instance(
-        tuple(s.keyword for s in trace.steps),
-        tuple((v, 1) for v in state.remaining),
-        {(s.keyword, v): 1 for s, pair in zip(trace.steps, pairs) for v in pair},
+        tuple(s.keyword for s in steps),
+        tuple((v, 1) for v in remaining),
+        {(s.keyword, v): 1 for s, pair in zip(steps, pairs) for v in pair},
     )
-    switch = next((t for t, s in enumerate(trace.steps, 1) if s.price), None)
+    switch = next((t for t, s in enumerate(steps, 1) if s.price), None)
     return AdversaryTranscript(instance, trace, switch)
 
 

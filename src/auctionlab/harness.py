@@ -12,7 +12,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyStream, InvalidParams, TooLarge, UnknownSuite, _at_least, _quoted
 from .generators import (
-    adversary_vs_policy,
+    _AdversaryPlay,
+    _adversary_play,
+    _adversary_prefix,
     perfect_matchable_2pm,
     random_2pm,
     random_2paa,
@@ -190,10 +192,17 @@ def _adversary_trials(params: dict) -> int:
     return len(_BATTERY) * m_max
 
 
+@lru_cache(maxsize=None)
+def _adversary_game(name: str, m_max: int) -> _AdversaryPlay:
+    """The m_max-arrival game against battery policy `name`, played once per
+    process: the game of every shorter m is its prefix."""
+    return _adversary_play(dict(_BATTERY)[name](), m_max)
+
+
 def _adversary_trial(params: dict, index: int, seed: int):
-    name, factory = _BATTERY[index // params["m_max"]]
+    name, _ = _BATTERY[index // params["m_max"]]
     m = index % params["m_max"] + 1
-    transcript = adversary_vs_policy(factory(), m)
+    transcript = _adversary_prefix(_adversary_game(name, params["m_max"]), m)
     opt = opt_2pm(transcript.instance).value
     return f"adversary policy={name} m={m}", transcript.policy_value, opt
 
@@ -285,13 +294,12 @@ def summarize(
     n = len(records)
     total = sum(r.value for r in records)
     mean = Fraction(total, n)
+    var = Fraction(0)
     if n > 1:
         # the sample variance in integer moments: sum((v - mean)^2) / (n - 1)
         squares = sum(r.value * r.value for r in records)
         var = Fraction(n * squares - total * total, n * (n - 1))
-        stdev = math.sqrt(float(var))
-    else:
-        stdev = 0.0
+    stdev = math.sqrt(float(var))  # stdev and se are for display only
     se = stdev / math.sqrt(n)
 
     bound: Fraction | None = None
@@ -301,8 +309,9 @@ def summarize(
         passed = violations == 0
     else:
         bound = Fraction(records[0].reference)
-        gap = float(mean - bound)
-        passed = gap >= -3.0 * se if kind == "lower" else abs(gap) <= 3.0 * se
+        gap = mean - bound
+        # |gap| <= 3 se, squared and exact: n gap^2 <= 9 var
+        passed = (kind == "lower" and gap >= 0) or n * gap * gap <= 9 * var
     return ExperimentReport(
         suite, n, skipped, mean, stdev, se, bound, kind, violations, passed, elapsed
     )
@@ -332,7 +341,9 @@ def run_experiment(
     `params` override the suite's defaults (see `_merge_params`).  Trial i
     draws everything from seed XOR i, so scheduling and worker count never
     change the records.  The adversary suite plays each policy of its battery
-    for m = 1..m_max arrivals, so it runs 3 * m_max trials and ignores `trials`.
+    for m = 1..m_max arrivals, so it runs 3 * m_max trials and ignores `trials`;
+    it plays each policy's m_max-arrival game once per process and m_max, and
+    each trial takes that game's first m arrivals.
 
     Trials run in this process, in index order.  After each trial from the
     second on, the serial time of the trials left is estimated as the mean

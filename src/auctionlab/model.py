@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -65,6 +64,20 @@ SKIP = Skip()
 _Decide = Callable[[int, str, Mapping[str, int], Mapping[str, int]], Action]
 
 
+class _built_on_first_read:
+    """Non-data descriptor: the method's value, set with `object.__setattr__` at the first
+    read; a `cached_property` writes `__dict__`, which slows every later read (CPython 3.11)."""
+
+    def __init__(self, build: Callable) -> None:
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        object.__setattr__(instance, self.name, value := self.build(instance))
+        return value
+
+
 @dataclass(frozen=True)
 class Instance:
     """Ordered keywords, budgeted bidders, and a sparse non-negative bid matrix.
@@ -111,7 +124,7 @@ class Instance:
         index = {v: i for i, (v, _) in enumerate(self.bidders)}
         object.__setattr__(self, "_index", index)
 
-    @cached_property
+    @_built_on_first_read
     def _rows(self) -> dict[str, dict[str, int]]:
         # per-keyword positive bids, in bidder-index order: filled in bid
         # order, and only a row whose indices arrived out of order is sorted.
@@ -166,7 +179,7 @@ class Instance:
 
     def positive_bids(self, keyword: str) -> Mapping[str, int]:
         """Read-only view of the positive bids on `keyword`, in bidder-index order."""
-        try:  # one read of `_rows`: a cached value takes the slower `__dict__` path
+        try:
             return MappingProxyType(self._rows[keyword])
         except KeyError:
             raise UnknownId(f"unknown keyword {keyword!r}") from None

@@ -162,16 +162,14 @@ def _require_unit(instance: Instance, who: str) -> None:
 def _kept(instance: Instance, name: str, make: Callable[[], object]):
     """The derived table `name` of `instance`: `make()` on first use, then the kept one.
 
-    It is stored in the instance's `__dict__` beside `_index` and the `_rows`
+    It is stored with `object.__setattr__` beside `_index` and the `_rows`
     built on first read, outside the dataclass fields, so it takes no part in
     equality or repr and `dataclasses.replace` builds an instance without it.
-    Kept tables are read-only: a caller that changes one changes what every
-    later caller reads.
+    Read-only: a caller that changes one changes what every later caller reads.
     """
-    kept = vars(instance)
-    if name not in kept:
-        object.__setattr__(instance, name, make())
-    return kept[name]
+    if (kept := getattr(instance, name, None)) is None:  # vars() would slow later reads
+        object.__setattr__(instance, name, kept := make())
+    return kept
 
 
 def _neighbor_rows(instance: Instance) -> tuple[tuple[int, ...], ...]:

@@ -759,6 +759,37 @@ def test_cold_start_never_loads_the_process_pool(instance_file):
     assert result.stdout.splitlines() == ["ok: 2 keywords, 2 bidders", "[]"]
 
 
+def test_a_closed_stdout_pipe_exits_1_with_nothing_on_stderr():
+    # `auctionlab generate ... | head -c 50`: the instance is megabytes, so the
+    # child is still writing when the reader goes
+    code = "import sys\nfrom auctionlab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    argv = ["generate", "--family", "random-2paa", "--seed", "0",
+            "--params", "num_keywords=300,num_bidders=300"]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    child = subprocess.Popen(
+        [sys.executable, "-c", code, *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        head = child.stdout.read(50)
+        assert len(head) == 50 and head.startswith(b'{\n  "keywords": [\n')
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    finally:
+        child.kill()
+        child.wait()
+    assert err == b""
+
+
+def test_an_unwritable_out_still_prints_its_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "i.json"
+    assert main(["generate", "--family", "random-2pm", "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
 DUPLICATE_BID = {
     "keywords": ["u"],
     "bidders": [{"id": "A", "budget": 3}, {"id": "B", "budget": 3}],

@@ -38,6 +38,7 @@ from auctionlab import (
     validate,
 )
 from auctionlab.formats import instance_to_doc
+from auctionlab.generators import _adversary_play, _adversary_prefix
 from auctionlab.generators import _bernoulli_row, _uniform_row
 from auctionlab.model import BudgetState
 
@@ -135,6 +136,23 @@ def test_adversary_switches_on_the_first_positive_price_only():
     assert transcript.switch_step == 3
     assert transcript.instance.neighbors("u4") == ("a3", "c4")
     assert opt_2pm(transcript.instance).value == 5
+
+
+# repr((instance, trace, switch_step)) of adversary_vs_policy(make(), m) for the
+# three battery policies and m = 1..120, one line each, taken before the game
+# was split into one play and its prefixes
+ADVERSARY_PREFIX_DIGEST = "83755ab3b8aef76939b9e8524b7014c72059eb84b3e103972349852ebbca6745"
+
+
+def test_every_shorter_adversary_game_is_a_prefix_of_the_longest():
+    plays, games = hashlib.sha256(), hashlib.sha256()
+    for make in (greedy_2pm, skip_all, first_available):
+        play = _adversary_play(make(), 120)
+        for m in range(1, 121):
+            pairs = (plays, _adversary_prefix(play, m)), (games, adversary_vs_policy(make(), m))
+            for digest, t in pairs:
+                digest.update((repr((t.instance, t.trace, t.switch_step)) + "\n").encode())
+    assert plays.hexdigest() == games.hexdigest() == ADVERSARY_PREFIX_DIGEST
 
 
 def test_adversary_rejects_randomized_and_matching_policies():

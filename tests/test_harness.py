@@ -21,8 +21,11 @@ from auctionlab import (
     InvalidParams,
     TooLarge,
     UnknownSuite,
+    first_available,
+    greedy_2pm,
     ranking_sum_bound,
     run_experiment,
+    skip_all,
     summarize,
 )
 from auctionlab.formats import records_to_csv
@@ -155,6 +158,21 @@ def test_summarize_lower_rule():
         for i in range(8)
     ]
     assert not summarize(bad).passed
+
+
+@pytest.mark.parametrize(
+    ("suite", "bound"), [("greedy-chain", -3), ("ranking-kcopy", 15)], ids=["target", "lower"]
+)
+def test_summarize_decides_an_exact_three_se_boundary_exactly(suite, bound):
+    # values [3, 9]: mean 6, var 18, n 2, so |mean - bound| = 9 = 3 se exactly;
+    # in floats 3 * se is 8.999999999999998 and the boundary would fail
+    def report(at):
+        return summarize([make_record(suite, i, i, "x", v, at) for i, v in enumerate((3, 9))])
+
+    assert report(Fraction(bound)).passed
+    assert 3 * report(Fraction(bound)).se < 9
+    past = Fraction(bound) + (-1 if bound < 0 else 1) * Fraction(1, 10**9)
+    assert not report(past).passed
 
 
 def test_summarize_unknown_suite():
@@ -400,6 +418,25 @@ def test_adversary_suite_enumerates_instead_of_sampling():
         for p in ("greedy", "skip-all", "first-available")
         for m in (1, 2, 3)
     }
+
+
+def test_the_adversary_suite_plays_each_policy_once_per_process(monkeypatch):
+    import auctionlab.harness as harness
+
+    plays, play = [], harness._adversary_play
+
+    def counted(policy, m):
+        plays.append((type(policy), m))
+        return play(policy, m)
+
+    monkeypatch.setattr(harness, "_adversary_play", counted)
+    monkeypatch.setenv("AUCTIONLAB_WORKERS", "1")
+    harness._adversary_game.cache_clear()
+    first = run_experiment("adversary", {"m_max": 40})
+    assert plays == [(type(make()), 40) for make in (greedy_2pm, skip_all, first_available)]
+    again = run_experiment("adversary", {"m_max": 40})
+    assert len(plays) == 3
+    assert first[1] == again[1] and len(first[1]) == 120
 
 
 def test_skipped_trials_are_counted(monkeypatch):

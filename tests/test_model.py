@@ -571,6 +571,18 @@ def test_rows_are_built_only_on_first_read(parts):
     assert _unread(to_first_price_bids(inst))  # the original's rows are read, not its output's
 
 
+def test_rows_are_built_once_and_later_reads_skip_the_descriptor(monkeypatch):
+    descriptor = Instance._rows  # read on the class, the descriptor itself
+    builds, build = [], descriptor.build
+    monkeypatch.setattr(descriptor, "build", lambda inst: builds.append(inst) or build(inst))
+    inst = unit_instance({"u1": ["a", "b"], "u2": ["b"]})
+    for _ in range(3):
+        assert inst.neighbors("u1") == ("a", "b") and inst.bid("u2", "b") == 1
+    assert builds == [inst]
+    # each instance builds its own rows at its own first read
+    assert unit_instance({"u1": ["a", "b"]}).neighbors("u1") == ("a", "b") and len(builds) == 2
+
+
 def _outcome(read, instance):
     try:
         return read(instance)
